@@ -489,15 +489,19 @@ class CamAL:
     def fingerprint(self) -> tuple:
         """Hashable identity for result caching.
 
-        Combines the ensemble object identity with the architecture and
-        inference config, so cached results invalidate when a model is
-        swapped (retrain, :meth:`calibrate`, pruning) — not merely when
-        the window changes. In-place weight mutation of the *same*
-        ensemble object is not detectable; callers retraining in place
-        must clear their caches (see DESIGN.md "Inference fast path").
+        Combines the ensemble's process-unique
+        :attr:`~repro.models.ResNetEnsemble.serial` with the
+        architecture and inference config, so cached results invalidate
+        when a model is swapped (retrain, :meth:`calibrate`, pruning,
+        ``load_state_dict``) — not merely when the window changes — and
+        a model built after another was garbage-collected never aliases
+        its keys. In-place weight mutation of the *same* ensemble
+        (training its members) is not detectable; callers retraining in
+        place must clear their caches (see DESIGN.md "Inference fast
+        path").
         """
         return (
-            id(self.ensemble),
+            self.ensemble.serial,
             self.ensemble.kernel_sizes,
             self.ensemble.n_filters,
             self.config,

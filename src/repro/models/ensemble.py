@@ -9,6 +9,7 @@ a small-kernel member sees spikes, a large-kernel member sees cycles.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,6 +24,9 @@ __all__ = ["DEFAULT_KERNEL_SIZES", "normalize_cam", "ResNetEnsemble"]
 
 #: Kernel sizes used by the paper's ensemble.
 DEFAULT_KERNEL_SIZES: tuple[int, ...] = (5, 7, 9, 15)
+
+# Process-unique ensemble serials (never reused, unlike ``id()``).
+_SERIALS = itertools.count()
 
 
 def normalize_cam(cam: np.ndarray) -> np.ndarray:
@@ -54,6 +58,10 @@ class ResNetEnsemble(nn.Module):
         Shared channel widths.
     seed:
         Base seed; member ``i`` initializes from ``seed + i``.
+
+    ``serial`` is a process-unique number drawn when the ensemble is
+    built, pruned or loaded; :meth:`repro.core.CamAL.fingerprint` keys
+    on it. Unlike ``id()`` it is never reused after garbage collection.
     """
 
     def __init__(
@@ -80,7 +88,13 @@ class ResNetEnsemble(nn.Module):
                 for i, k in enumerate(kernel_sizes)
             ]
         )
+        self.serial = next(_SERIALS)
         self._init_pool_state()
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load weights; the ensemble takes a fresh :attr:`serial`."""
+        super().load_state_dict(state)
+        self.serial = next(_SERIALS)
 
     def _init_pool_state(self) -> None:
         self._pool: ThreadPoolExecutor | None = None
@@ -266,5 +280,6 @@ class ResNetEnsemble(nn.Module):
         pruned.in_channels = self.in_channels
         pruned.n_filters = self.n_filters
         pruned.members = nn.ModuleList([self.members[i] for i in order])
+        pruned.serial = next(_SERIALS)
         pruned._init_pool_state()
         return pruned

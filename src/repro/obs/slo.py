@@ -22,6 +22,10 @@ Definitions (DESIGN.md §9):
 
 The window is a ring buffer (default 2048 requests) so a long-lived
 serving process holds bounded state, mirroring the event/span caps.
+:meth:`SloTracker.record` keeps the good and per-outcome tallies
+current, so :meth:`~SloTracker.burn_rate` and
+:meth:`~SloTracker.attainment` cost O(1) whatever the window length;
+only :meth:`~SloTracker.snapshot` walks the window, for percentiles.
 """
 
 from __future__ import annotations
@@ -77,21 +81,69 @@ class SloTracker:
             raise ValueError("error_budget must be in (0, 1)")
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.objective_ms = float(objective_ms)
+        self._objective_ms = float(objective_ms)
         self.error_budget = float(error_budget)
         self.window = int(window)
         self._lock = threading.Lock()
         # (duration_ms, outcome) per completed request, newest last.
         self._requests: deque[tuple[float, str]] = deque(maxlen=self.window)
+        # Tallies over ``_requests``, kept current by record(): the good
+        # requests, and the requests per outcome (no zero entries).
+        self._good = 0
+        self._outcomes: dict[str, int] = {}
+
+    @property
+    def objective_ms(self) -> float:
+        return self._objective_ms
+
+    @objective_ms.setter
+    def objective_ms(self, value: float) -> None:
+        """Move the objective; recounts the good tally over the window."""
+        value = float(value)
+        with self._lock:
+            self._objective_ms = value
+            self._good = sum(
+                1
+                for ms, outcome in self._requests
+                if outcome in GOOD_OUTCOMES and ms <= value
+            )
 
     def record(self, duration_s: float, outcome: str = _GOOD_OUTCOME) -> None:
-        """Ingest one completed request."""
+        """Ingest one completed request, evicting the oldest if full."""
+        ms, outcome = float(duration_s) * 1e3, str(outcome)
         with self._lock:
-            self._requests.append((float(duration_s) * 1e3, str(outcome)))
+            if len(self._requests) == self._requests.maxlen:
+                old_ms, old_outcome = self._requests[0]
+                self._tally(old_ms, old_outcome, -1)
+            self._requests.append((ms, outcome))
+            self._tally(ms, outcome, 1)
+
+    def _tally(self, ms: float, outcome: str, delta: int) -> None:
+        # Caller holds the lock.
+        if outcome in GOOD_OUTCOMES and ms <= self._objective_ms:
+            self._good += delta
+        count = self._outcomes.get(outcome, 0) + delta
+        if count:
+            self._outcomes[outcome] = count
+        else:
+            del self._outcomes[outcome]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._requests)
+
+    def burn_rate(self) -> tuple[float, int]:
+        """``(burn_rate, count)`` over the window, in O(1).
+
+        The same burn rate :meth:`snapshot` reports (NaN with no data),
+        read from the tallies without touching the window — the
+        admission controller asks this on every request.
+        """
+        with self._lock:
+            count, good = len(self._requests), self._good
+        if count == 0:
+            return float("nan"), 0
+        return (1.0 - good / count) / self.error_budget, count
 
     def snapshot(self) -> dict:
         """Plain-dict health rollup (JSON-serializable).
@@ -102,12 +154,15 @@ class SloTracker:
         """
         with self._lock:
             requests = list(self._requests)
+            good = self._good
+            tallies = dict(self._outcomes)
+            objective_ms = self._objective_ms
         count = len(requests)
         if count == 0:
             nan = float("nan")
             return {
                 "count": 0,
-                "objective_ms": self.objective_ms,
+                "objective_ms": objective_ms,
                 "error_budget": self.error_budget,
                 "window": self.window,
                 "attainment": nan,
@@ -118,19 +173,17 @@ class SloTracker:
                 "outcomes": {},
                 "healthy": True,
             }
-        durations = np.asarray([ms for ms, _ in requests], dtype=np.float64)
-        outcomes: dict[str, int] = {}
-        good = 0
-        for ms, outcome in requests:
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            if outcome in GOOD_OUTCOMES and ms <= self.objective_ms:
-                good += 1
+        durations, names = zip(*requests)
+        # Outcomes in order of first appearance in the window.
+        outcomes = {name: tallies[name] for name in dict.fromkeys(names)}
         attainment = good / count
         burn_rate = (1.0 - attainment) / self.error_budget
-        p50, p95, p99 = np.percentile(durations, [50.0, 95.0, 99.0])
+        p50, p95, p99 = np.percentile(
+            np.asarray(durations, dtype=np.float64), [50.0, 95.0, 99.0]
+        )
         return {
             "count": count,
-            "objective_ms": self.objective_ms,
+            "objective_ms": objective_ms,
             "error_budget": self.error_budget,
             "window": self.window,
             "attainment": attainment,
@@ -143,12 +196,16 @@ class SloTracker:
         }
 
     def attainment(self) -> float:
-        """Shortcut for ``snapshot()["attainment"]``."""
-        return self.snapshot()["attainment"]
+        """``snapshot()["attainment"]`` from the tallies, in O(1)."""
+        with self._lock:
+            count, good = len(self._requests), self._good
+        return good / count if count else float("nan")
 
     def reset(self) -> None:
         with self._lock:
             self._requests.clear()
+            self._good = 0
+            self._outcomes.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         snap = self.snapshot()

@@ -7,6 +7,9 @@ from two signals the earlier PRs already maintain:
   budget at ``burn_shed`` (default 2.0, the fast-burn page threshold
   :func:`repro.obs.health_level` also uses) or faster means the service
   is failing users *now*; taking more traffic only deepens the hole.
+  It is read through :meth:`~repro.obs.SloTracker.burn_rate`, which
+  answers from the tracker's running tallies: a decision costs O(1)
+  whatever the SLO window length.
 * **Model quality** (:mod:`repro.quality`): a ``critical`` quality
   status means the answers themselves cannot be trusted — serving more
   of them is worse than serving none.
@@ -146,13 +149,13 @@ class AdmissionController:
 
     # -- signal plumbing ---------------------------------------------------
 
-    def _burn_rate(self) -> tuple[float, int]:
-        slo = self._slo if self._slo is not None else obs.slo_tracker
-        snapshot = slo.snapshot()
-        burn = snapshot.get("burn_rate", float("nan"))
-        if not isinstance(burn, (int, float)) or math.isnan(burn):
+    @staticmethod
+    def _burn_rate(slo) -> tuple[float, int]:
+        """``slo.burn_rate()`` with no data (NaN) read as zero burn."""
+        burn, count = slo.burn_rate()
+        if math.isnan(burn):
             burn = 0.0
-        return float(burn), int(snapshot.get("count", 0))
+        return float(burn), int(count)
 
     def _quality(self) -> str:
         if self._quality_status is not None:
@@ -195,7 +198,9 @@ class AdmissionController:
         tenant's share of recent cost. Both shed *only that tenant*,
         with the same probe/streak hysteresis as the global gate.
         """
-        burn, count = self._burn_rate()
+        burn, count = self._burn_rate(
+            self._slo if self._slo is not None else obs.slo_tracker
+        )
         quality = self._quality()
         overloaded = (
             quality == "critical"
@@ -243,11 +248,7 @@ class AdmissionController:
         self, tenant, cost_share, global_burn: float, global_count: int
     ) -> "AdmissionDecision | None":
         """Per-tenant gate; None means "no opinion, keep global verdict"."""
-        snapshot = tenant.slo.snapshot()
-        tburn = snapshot.get("burn_rate", 0.0)
-        if not isinstance(tburn, (int, float)) or math.isnan(tburn):
-            tburn = 0.0
-        tcount = int(snapshot.get("count", 0))
+        tburn, tcount = self._burn_rate(tenant.slo)
         burn_hot = (
             tcount >= self.tenant_min_requests
             and tburn >= self.tenant_burn_shed

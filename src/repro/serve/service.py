@@ -880,8 +880,16 @@ class DeviceScopeService:
 # -- helpers ---------------------------------------------------------------
 
 
+#: Element types a decoded JSON watts array may hold (``bool`` is not one).
+_JSON_NUMBER_TYPES = frozenset({int, float, type(None)})
+
+
 def _as_watts(values) -> np.ndarray:
-    """Parse a JSON watts list (numbers, null → NaN) into float64."""
+    """Parse a JSON watts list (numbers, null → NaN) into float64.
+
+    One vectorized conversion once every element's exact type is
+    checked; the cost per sample is C, not a Python step.
+    """
     if values is None:
         raise ServiceError(400, "watts (list of numbers) is required")
     if not isinstance(values, (list, tuple)):
@@ -890,17 +898,19 @@ def _as_watts(values) -> np.ndarray:
         raise ServiceError(
             413, f"at most {MAX_INGEST_SAMPLES} samples per request"
         )
-    out = np.empty(len(values), dtype=np.float64)
-    for i, v in enumerate(values):
-        if v is None:
-            out[i] = np.nan
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[i] = float(v)
-        else:
-            raise ServiceError(
-                400, f"watts[{i}] is not a number or null: {v!r}"
-            )
-    return out
+    if not set(map(type, values)) <= _JSON_NUMBER_TYPES:
+        # Only to name the first bad element; int/float subclasses
+        # (from in-process callers, never from JSON) pass through.
+        for i, v in enumerate(values):
+            if v is not None and (
+                not isinstance(v, (int, float)) or isinstance(v, bool)
+            ):
+                raise ServiceError(
+                    400, f"watts[{i}] is not a number or null: {v!r}"
+                )
+    # None -> NaN; an int beyond float range raises OverflowError,
+    # exactly as float() does.
+    return np.array(values, dtype=np.float64)
 
 
 def _window_bounds(

@@ -379,3 +379,40 @@ def test_window_key_handles_noncontiguous_views():
     assert window_key("k", strided) == window_key(
         "k", np.ascontiguousarray(strided)
     )
+
+
+def _tiny_model():
+    from repro.core import CamAL
+    from repro.datasets import Standardizer
+    from repro.models import ResNetEnsemble
+
+    ensemble = ResNetEnsemble(kernel_sizes=(3,), n_filters=(2, 2, 2), seed=0)
+    return CamAL(ensemble, Standardizer(mean=0.0, std=1.0))
+
+
+def test_model_built_after_gc_never_hits_old_entries():
+    """Fingerprints key on a serial, not ``id()``: CPython reuses a
+    collected object's id, which would hand a new model the cached
+    results of a dropped one."""
+    import gc
+
+    watts = np.zeros(64)
+    cache = ResultCache(maxsize=64)
+    seen = set()
+    for _ in range(32):  # ids of dropped ensembles recur within a few builds
+        model = _tiny_model()
+        key = window_key("kettle", watts, model.fingerprint())
+        assert model.fingerprint() not in seen
+        assert cache.get(key) is None
+        cache.put(key, "this model's answer")
+        seen.add(model.fingerprint())
+        del model
+        gc.collect()
+    assert cache.hits == 0
+
+
+def test_loading_weights_changes_the_fingerprint():
+    model = _tiny_model()
+    before = model.fingerprint()
+    model.ensemble.load_state_dict(model.ensemble.state_dict())
+    assert model.fingerprint() != before

@@ -1,11 +1,14 @@
 """SloTracker math: attainment, percentiles, burn rate, rolling window."""
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs.slo import SloTracker, health_level
+from repro.obs.slo import GOOD_OUTCOMES, SloTracker, health_level
 
 
 def test_empty_snapshot_is_nan_but_healthy():
@@ -250,3 +253,91 @@ def test_client_errors_spend_no_budget():
     # ...but a *slow* client_error still misses the latency objective.
     tracker.record(1.0, outcome="client_error")
     assert tracker.snapshot()["attainment"] < 1.0
+
+
+# -- running tallies vs a from-scratch recount --------------------------------
+
+_OUTCOMES = ("ok", "client_error", "degraded", "error", "shed")
+_record_step = st.tuples(
+    st.just("record"),
+    # Exact ms on the objective boundaries, plus arbitrary durations.
+    st.one_of(
+        st.sampled_from([0.0, 0.05, 0.1, 0.25, 1.0]),
+        st.floats(min_value=0.0, max_value=2.0),
+    ),
+    st.sampled_from(_OUTCOMES),
+)
+_objective_step = st.tuples(
+    st.just("objective"),
+    st.one_of(
+        st.sampled_from([50.0, 100.0, 250.0]),
+        st.floats(min_value=1.0, max_value=2000.0),
+    ),
+    st.none(),
+)
+
+
+def _recount(entries, objective_ms, error_budget):
+    """SLO answers recomputed from the window contents alone."""
+    count = len(entries)
+    outcomes = {}
+    good = 0
+    for ms, outcome in entries:
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcome in GOOD_OUTCOMES and ms <= objective_ms:
+            good += 1
+    if not count:
+        nan = float("nan")
+        return {"count": 0, "attainment": nan, "burn_rate": nan,
+                "outcomes": {}, "healthy": True}
+    attainment = good / count
+    return {
+        "count": count,
+        "attainment": attainment,
+        "burn_rate": (1.0 - attainment) / error_budget,
+        "outcomes": outcomes,
+        "healthy": attainment >= 1.0 - error_budget,
+    }
+
+
+def _same(a, b):
+    """Equality with NaN equal to NaN."""
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(min_value=1, max_value=8),
+    error_budget=st.sampled_from([0.01, 0.1, 0.5]),
+    steps=st.lists(st.one_of(_record_step, _objective_step), max_size=40),
+)
+def test_tallies_match_recount_after_every_step(window, error_budget, steps):
+    tracker = SloTracker(
+        objective_ms=100.0, error_budget=error_budget, window=window
+    )
+    entries = deque(maxlen=window)
+    objective_ms = 100.0
+    for kind, value, outcome in steps:
+        if kind == "record":
+            tracker.record(value, outcome)
+            entries.append((float(value) * 1e3, outcome))
+        else:
+            tracker.objective_ms = value
+            objective_ms = float(value)
+        want = _recount(entries, objective_ms, error_budget)
+        burn, count = tracker.burn_rate()
+        assert count == want["count"]
+        assert _same(burn, want["burn_rate"])
+        assert _same(tracker.attainment(), want["attainment"])
+        snap = tracker.snapshot()
+        assert snap["objective_ms"] == objective_ms
+        for key in ("count", "attainment", "burn_rate", "healthy"):
+            assert _same(snap[key], want[key]), key
+        # Same counts, in order of first appearance in the window.
+        assert list(snap["outcomes"].items()) == list(want["outcomes"].items())
+    tracker.reset()
+    burn, count = tracker.burn_rate()
+    assert math.isnan(burn) and count == 0
+    assert tracker.snapshot()["outcomes"] == {}

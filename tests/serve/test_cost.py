@@ -244,6 +244,9 @@ class TestTenantAdmission:
             def snapshot(self):
                 return {"burn_rate": self.burn, "count": self.count}
 
+            def burn_rate(self):
+                return self.burn, self.count
+
         class _Tenant:
             def __init__(self, tenant_id):
                 self.tenant_id = tenant_id
