@@ -23,8 +23,7 @@ directly (no sockets — the HTTP layer is benched separately by
 Hardware normalization: the headline metrics are *ratios measured on
 the same machine in the same process* — ``speedup_wps`` (batched vs
 serial windows/sec) and ``p95_over_single`` (loaded p95 vs lone p95) —
-so the gate is machine-free by construction, like
-``regression_gate.py``'s fast/legacy ratio.
+so the gate is machine-free by construction.
 
 Run from the repo root::
 

@@ -10,7 +10,7 @@ aggregate is persisted to ``benchmarks/results/BENCH_serve_throughput.json``:
 requests/s, p50/p95 latency, shed/error counts, and the worst
 per-tenant error-budget burn rate.
 
-Hardware normalization (the ``regression_gate.py`` idiom): absolute RPS
+Hardware normalization: absolute RPS
 and p95 are incomparable across machines, so the bench also re-measures
 a *direct-compute yardstick* — the median latency of the same CamAL
 localization called in-process on an identical window, no HTTP, no

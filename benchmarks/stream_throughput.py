@@ -23,7 +23,7 @@ the same machine — machine-free by construction, like the other gates
 in this directory. A second ``sublinear`` block measures the
 incremental arm at two window lengths; per-append cost is dominated by
 the fixed-size tail re-sweep, so doubling the window must not double
-the update cost (``regression_gate.py`` enforces the same property).
+the update cost (``--max-cost-growth``, default 1.6, gates it).
 
 Run from the repo root::
 

@@ -4,14 +4,11 @@ DeviceScope is an interactive GUI: selecting an appliance must return a
 localization for the current window quickly. This bench measures true
 CamAL inference latency (detection + CAM + attention) for the three GUI
 window lengths with pytest-benchmark's real timing loop (these runs are
-cheap, unlike the training benches), and quantifies the single-pass
-fast path against the legacy three-pass pipeline — persisting
-``BENCH_inference_latency.json`` with mean/median per window length and
-asserting the fast path's ≥1.8× speedup on a 1-day window.
+cheap, unlike the training benches), and persists a per-stage breakdown
+of the 1-day window (``inference_stage_breakdown.json``).
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -38,13 +35,6 @@ def model(ensemble):
     return CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
 
 
-@pytest.fixture(scope="module")
-def legacy_model(ensemble):
-    return CamAL(
-        ensemble, Standardizer(mean=300.0, std=400.0), fast_path=False
-    )
-
-
 @pytest.mark.parametrize("label,samples", WINDOWS)
 def test_window_localization_latency(benchmark, model, label, samples):
     rng = np.random.default_rng(0)
@@ -61,72 +51,6 @@ def test_batch_of_windows_latency(benchmark, model):
     watts = rng.uniform(0, 3000, size=(16, 360))
     result = benchmark(lambda: model.localize_watts(watts))
     assert result.status.shape == (16, 360)
-
-
-def _time(fn, rounds: int, warmup: int = 1) -> list[float]:
-    """Wall-clock seconds per round (after ``warmup`` discarded runs)."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return times
-
-
-def test_fast_vs_legacy_speedup_persisted(model, legacy_model, results_dir):
-    """The headline of the fast path: one backbone pass per member
-    instead of three, measured per GUI window length.
-
-    Persists ``BENCH_inference_latency.json`` (mean/median per window,
-    fast vs legacy, speedup) and asserts the acceptance bar — ≥1.8×
-    on the 1-day window — after first proving the two paths produce
-    numerically identical results.
-    """
-    rng = np.random.default_rng(2)
-    rows = []
-    for label, samples in WINDOWS:
-        watts = rng.uniform(0, 3000, size=(1, samples))
-        fast_result = model.localize_watts(watts)
-        legacy_result = legacy_model.localize_watts(watts)
-        np.testing.assert_array_equal(
-            fast_result.probabilities, legacy_result.probabilities
-        )
-        np.testing.assert_array_equal(fast_result.cam, legacy_result.cam)
-        np.testing.assert_array_equal(
-            fast_result.status, legacy_result.status
-        )
-        fast_s = _time(lambda: model.localize_watts(watts), rounds=7)
-        legacy_s = _time(lambda: legacy_model.localize_watts(watts), rounds=7)
-        rows.append(
-            {
-                "window": label,
-                "samples": samples,
-                "fast_mean_s": float(np.mean(fast_s)),
-                "fast_median_s": float(np.median(fast_s)),
-                "legacy_mean_s": float(np.mean(legacy_s)),
-                "legacy_median_s": float(np.median(legacy_s)),
-                "speedup_mean": float(np.mean(legacy_s) / np.mean(fast_s)),
-                "speedup_median": float(
-                    np.median(legacy_s) / np.median(fast_s)
-                ),
-            }
-        )
-    payload = {
-        "members": len(model.ensemble),
-        "n_filters": list(BENCH_FILTERS),
-        "rounds": 7,
-        "results": rows,
-    }
-    path = results_dir / "BENCH_inference_latency.json"
-    path.write_text(json.dumps(payload, indent=2))
-    assert json.loads(path.read_text())["results"]
-    one_day = next(row for row in rows if row["window"] == "1day")
-    assert one_day["speedup_median"] >= 1.8, (
-        f"fast path only {one_day['speedup_median']:.2f}x on 1-day window "
-        f"(acceptance bar: 1.8x)"
-    )
 
 
 CAMAL_STAGES = (

@@ -7,7 +7,7 @@ every widget event. :class:`ResultCache` is a small thread-safe LRU that
 keys localization results on the **model fingerprint plus a digest of the
 window bytes**, so revisits render without touching the ensemble.
 
-Invalidation rules (also documented in DESIGN.md "Inference fast path"):
+Invalidation rules (also documented in DESIGN.md §7 "Inference path"):
 
 * The key must include the model's identity/config — use
   :meth:`repro.core.CamAL.fingerprint`, which covers model swaps,

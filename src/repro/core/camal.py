@@ -100,6 +100,20 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return out[..., : x.shape[-1]]
 
 
+#: Batches larger than this many windows are swept in chunks to bound
+#: peak memory (the backbone's intermediates scale with ``N * T``);
+#: results are concatenated, bit-identical to one unchunked sweep.
+CHUNK_SIZE = 1024
+
+
+def _chunks(x: np.ndarray):
+    if x.shape[0] <= CHUNK_SIZE:
+        yield x
+        return
+    for start in range(0, x.shape[0], CHUNK_SIZE):
+        yield x[start : start + CHUNK_SIZE]
+
+
 def _concat_results(parts: list["CamALResult"]) -> "CamALResult":
     """Stitch per-chunk :class:`CamALResult` pieces back into one batch."""
     member_keys = list(parts[0].member_probabilities)
@@ -244,20 +258,9 @@ class CamAL:
         and to run the attention step in standardized space.
     config:
         Inference configuration.
-    fast_path:
-        Derive detection probabilities, per-member probabilities, and
-        CAMs from a *single* backbone pass per member under
-        :func:`repro.nn.inference_mode` (default). ``False`` keeps the
-        legacy three-pass pipeline — numerically identical, retained for
-        equivalence tests and latency benchmarking.
-    chunk_size:
-        Fast-path batches larger than this many windows are processed in
-        chunks to bound peak memory (the backbone's intermediates scale
-        with ``N * T``); results are concatenated.
     workers:
-        Optional thread fan-out across ensemble members on the fast
-        path (numpy kernels release the GIL). ``None``/``1`` stays
-        sequential.
+        Optional thread fan-out across ensemble members (numpy kernels
+        release the GIL). ``None``/``1`` stays sequential.
     """
 
     def __init__(
@@ -265,17 +268,11 @@ class CamAL:
         ensemble: ResNetEnsemble,
         scaler: Standardizer,
         config: CamALConfig | None = None,
-        fast_path: bool = True,
-        chunk_size: int = 1024,
         workers: int | None = None,
     ):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.ensemble = ensemble
         self.scaler = scaler
         self.config = config or CamALConfig()
-        self.fast_path = fast_path
-        self.chunk_size = chunk_size
         self.workers = workers
 
     # -- training ----------------------------------------------------------
@@ -323,25 +320,12 @@ class CamAL:
         with obs.request(kind="camal.detect"), obs.span(
             "camal.detect", n_windows=x.shape[0]
         ):
-            if self.fast_path:
-                with inference_mode():
-                    probabilities = np.concatenate(
-                        [
-                            self.ensemble.predict_proba(chunk)
-                            for chunk in self._chunks(x)
-                        ]
-                    )
-            else:
-                probabilities = self.ensemble.predict_proba(x)
+            with inference_mode():
+                probabilities = np.concatenate(
+                    [self.ensemble.predict_proba(chunk) for chunk in _chunks(x)]
+                )
         self._record_detection(probabilities)
         return probabilities
-
-    def _chunks(self, x: np.ndarray):
-        if x.shape[0] <= self.chunk_size:
-            yield x
-            return
-        for start in range(0, x.shape[0], self.chunk_size):
-            yield x[start : start + self.chunk_size]
 
     def _record_detection(self, probabilities: np.ndarray) -> None:
         if not obs.enabled():
@@ -372,23 +356,18 @@ class CamAL:
 
         Each paper stage runs under its own :mod:`repro.obs` span
         (``camal.ensemble_forward`` … ``camal.threshold``) so
-        ``devicescope profile`` can show where inference time goes. On
-        the fast path (the default) detection probabilities and CAMs
-        share one backbone pass per member, batches larger than
-        ``chunk_size`` are processed in chunks, and no layer retains
-        backward caches; the legacy path reruns the backbone per
-        consumer, exactly as the paper pseudo-code reads.
+        ``devicescope profile`` can show where inference time goes.
+        Detection probabilities and CAMs share one backbone pass per
+        member, batches larger than :data:`CHUNK_SIZE` windows are
+        processed in chunks, and no layer retains backward caches.
         """
         x = self._validate(x)
         faults.checkpoint("camal.localize")
         with obs.request(kind="camal.localize"), obs.span(
             "camal.localize", n_windows=x.shape[0], window_length=x.shape[2]
         ) as root:
-            if self.fast_path:
-                parts = [self._localize_fast(chunk) for chunk in self._chunks(x)]
-                result = parts[0] if len(parts) == 1 else _concat_results(parts)
-            else:
-                result = self._localize_legacy(x)
+            parts = [self._sweep(chunk) for chunk in _chunks(x)]
+            result = parts[0] if len(parts) == 1 else _concat_results(parts)
             root.set(detected=int(result.detected.sum()))
         self._record_detection(result.probabilities)
         self._record_cam_stats(result.cam)
@@ -399,57 +378,35 @@ class CamAL:
             ).inc(x.shape[0])
         return result
 
-    def _localize_fast(self, x: np.ndarray) -> CamALResult:
-        """Single-sweep pipeline: steps 1+3 fused into one backbone pass."""
-        cfg = self.config
-        with inference_mode():
-            with obs.span("camal.ensemble_forward"):  # steps 1 & 3a fused
-                outputs = self.ensemble.member_outputs(x, workers=self.workers)
-                member_probabilities = {
-                    i: F.softmax(logits, axis=1)[:, 1]
-                    for i, (_, logits) in enumerate(outputs)
-                }
-                probabilities = np.mean(
-                    list(member_probabilities.values()), axis=0
-                )
-            detected = probabilities > cfg.detection_threshold  # step 2
-            with obs.span("camal.cam_extraction"):  # step 3b: w_1 · features
-                raw_cams = np.stack(
-                    [
-                        member.cam_from_features(features)
-                        for member, (features, _) in zip(
-                            self.ensemble.members, outputs
-                        )
-                    ]
-                )
-        return self._finish(
-            x, probabilities, detected, raw_cams, member_probabilities
-        )
+    def _sweep(self, x: np.ndarray) -> CamALResult:
+        """Steps 1-6 for one chunk: one backbone pass per member."""
+        with inference_mode(), obs.span("camal.ensemble_forward"):
+            outputs = self.ensemble.member_outputs(x, workers=self.workers)
+        return self._from_outputs(x, outputs)
 
-    def _localize_legacy(self, x: np.ndarray) -> CamALResult:
-        """The pre-fast-path pipeline: one backbone pass per consumer."""
-        cfg = self.config
-        with obs.span("camal.ensemble_forward"):  # step 1
-            probabilities = self.ensemble.predict_proba(x)
-        detected = probabilities > cfg.detection_threshold  # step 2
-        with obs.span("camal.cam_extraction"):  # step 3
-            raw_cams = self.ensemble.member_cams(x)
-        with obs.span("camal.member_probabilities"):
-            member_probabilities = self.ensemble.member_probas(x)
-        return self._finish(
-            x, probabilities, detected, raw_cams, member_probabilities
-        )
-
-    def _finish(
-        self,
-        x: np.ndarray,
-        probabilities: np.ndarray,
-        detected: np.ndarray,
-        raw_cams: np.ndarray,
-        member_probabilities: dict,
+    def _from_outputs(
+        self, x: np.ndarray, outputs: list[tuple[np.ndarray, np.ndarray]]
     ) -> CamALResult:
-        """Steps 4-6, shared verbatim by the fast and legacy paths."""
+        """Steps 1-6 from per-member ``(features, logits)`` pairs.
+
+        The one implementation of the paper's pipeline past the
+        backbone: :meth:`localize` feeds it fresh member outputs,
+        :class:`repro.stream.SlidingCamAL` its spliced ones.
+        """
         cfg = self.config
+        member_probabilities = {
+            i: F.softmax(logits, axis=1)[:, 1]
+            for i, (_, logits) in enumerate(outputs)
+        }
+        probabilities = np.mean(  # step 1
+            list(member_probabilities.values()), axis=0
+        )
+        detected = probabilities > cfg.detection_threshold  # step 2
+        with obs.span("camal.cam_extraction"):  # step 3: w_1 · features
+            raw_cams = [
+                member.cam_from_features(features)
+                for member, (features, _) in zip(self.ensemble.members, outputs)
+            ]
         with obs.span("camal.cam_normalization"):  # step 4
             cam = np.mean([normalize_cam(c) for c in raw_cams], axis=0)
             if cfg.cam_floor > 0.0:
@@ -497,7 +454,7 @@ class CamAL:
         a model built after another was garbage-collected never aliases
         its keys. In-place weight mutation of the *same* ensemble
         (training its members) is not detectable; callers retraining in
-        place must clear their caches (see DESIGN.md "Inference fast
+        place must clear their caches (see DESIGN.md §7 "Inference
         path").
         """
         return (
@@ -548,14 +505,7 @@ class CamAL:
             smooth_window=self.config.smooth_window,
             min_on_duration=self.config.min_on_duration,
         )
-        return CamAL(
-            self.ensemble,
-            self.scaler,
-            config,
-            fast_path=self.fast_path,
-            chunk_size=self.chunk_size,
-            workers=self.workers,
-        )
+        return CamAL(self.ensemble, self.scaler, config, workers=self.workers)
 
     def __repr__(self) -> str:
         kernels = ",".join(str(k) for k in self.ensemble.kernel_sizes)

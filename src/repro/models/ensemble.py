@@ -16,8 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import nn, obs
-from ..nn import functional as F
-from ..nn.module import inference_mode
 from .resnet import ResNetTSC
 
 __all__ = ["DEFAULT_KERNEL_SIZES", "normalize_cam", "ResNetEnsemble"]
@@ -139,7 +137,7 @@ class ResNetEnsemble(nn.Module):
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError(
             "the ensemble is not trained end-to-end; train members "
-            "individually and use predict_proba / normalized_cams"
+            "individually and use predict_proba / member_outputs"
         )
 
     # -- paper §II.B step 1: averaged ensemble probability ---------------
@@ -149,23 +147,16 @@ class ResNetEnsemble(nn.Module):
         probs = [member.predict_proba(x) for member in self.members]
         return np.mean(probs, axis=0)
 
-    def member_probas(self, x: np.ndarray) -> dict[int, np.ndarray]:
-        """Per-member probabilities keyed by position (for the GUI's
-        "Model detection probabilities" tab)."""
-        return {
-            i: member.predict_proba(x) for i, member in enumerate(self.members)
-        }
-
-    # -- single-pass fast path (detection + CAM from one backbone sweep) ---
+    # -- single pass (detection + CAM from one backbone sweep) -------------
 
     def member_outputs(
         self, x: np.ndarray, workers: int | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One ``(features, logits)`` pair per member, one backbone pass each.
 
-        This is the primitive behind the inference fast path: everything
-        CamAL needs — detection probabilities, per-member probabilities,
-        and CAMs — derives from these pairs, so the ResNet backbone runs
+        This is the primitive behind CamAL inference: everything it
+        needs — detection probabilities, per-member probabilities, and
+        CAMs — derives from these pairs, so the ResNet backbone runs
         exactly once per member instead of once per consumer.
 
         ``workers > 1`` fans members out across a thread pool. numpy's
@@ -208,49 +199,6 @@ class ResNetEnsemble(nn.Module):
     ) -> tuple[np.ndarray, np.ndarray]:
         with obs.span("ensemble.member_forward", member=index):
             return member.forward_features(x)
-
-    def predict_with_cams(
-        self, x: np.ndarray, workers: int | None = None
-    ) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
-        """Fused detection + localization from a single ensemble sweep.
-
-        Returns ``(avg_proba, member_probas, normalized_cam_avg)`` —
-        numerically identical to calling :meth:`predict_proba`,
-        :meth:`member_probas`, and :meth:`normalized_cams` separately,
-        but with one backbone pass per member instead of three. Runs
-        under :func:`repro.nn.inference_mode`, so no layer retains
-        backward caches.
-        """
-        with inference_mode():
-            outputs = self.member_outputs(x, workers=workers)
-        member_probas = {
-            i: F.softmax(logits, axis=1)[:, 1]
-            for i, (_, logits) in enumerate(outputs)
-        }
-        avg_proba = np.mean(list(member_probas.values()), axis=0)
-        cams = [
-            member.cam_from_features(features)
-            for member, (features, _) in zip(self.members, outputs)
-        ]
-        cam_avg = np.mean([normalize_cam(cam) for cam in cams], axis=0)
-        return avg_proba, member_probas, cam_avg
-
-    # -- paper §II.B steps 3-4: averaged normalized CAM ---------------------
-
-    def member_cams(self, x: np.ndarray) -> np.ndarray:
-        """Raw (un-normalized) class-1 CAMs stacked per member, ``(M, N, L)``.
-
-        Separated from :meth:`normalized_cams` so CamAL can trace CAM
-        extraction and normalization as distinct stages.
-        """
-        return np.stack(
-            [member.class_activation_map(x) for member in self.members]
-        )
-
-    def normalized_cams(self, x: np.ndarray) -> np.ndarray:
-        """Average of per-member min-max normalized class-1 CAMs, ``(N, L)``."""
-        cams = self.member_cams(x)
-        return np.mean([normalize_cam(cam) for cam in cams], axis=0)
 
     # -- member selection (paper: "selected the networks that best
     #    detected specific appliances") ---------------------------------------

@@ -129,15 +129,15 @@ class ResNetTSC(nn.Module):
         ``features`` are the final feature maps ``(N, C, L)`` — the CAM
         building blocks — and ``logits`` the ``(N, num_classes)`` head
         output. Detection probability and localization both derive from
-        this single sweep; that is the inference fast path's contract
-        (DESIGN.md "Inference fast path").
+        this single sweep; that is CamAL inference's contract
+        (DESIGN.md §7 "Inference path").
         """
         h = self.block1(x)
         h = self.block2(h)
         h = self.block3(h)
         logits = self.fc(self.gap(h))
-        # Cache for class_activation_map(None); never retained on the
-        # inference fast path, where callers hold the returned features.
+        # Cache for class_activation_map(None); never retained under
+        # inference_mode, where callers hold the returned features.
         self._features = None if is_inference() else h
         return h, logits
 

@@ -147,8 +147,8 @@ class Conv1d(Module):
         if self.bias is not None:
             out += self.bias.data[None, :, None]
         if not is_inference():
-            # The im2col tensor is K× the input size — never retain it on
-            # the inference fast path.
+            # The im2col tensor is K× the input size — never retain it
+            # under inference_mode.
             self._cache = (cols, padded.shape[2], left, x.shape[2])
         return out
 

@@ -36,8 +36,8 @@ __all__ = ["Module", "inference_mode", "is_inference"]
 # any thread holds the context open.
 #
 # The flag is deliberately process-wide rather than thread-local: the
-# ensemble fast path fans member forwards out across worker threads, and
-# those workers must inherit the caller's inference state. The trade-off
+# ensemble's ``member_outputs`` fans member forwards out across worker
+# threads, and those workers must inherit the caller's inference state. The trade-off
 # (a concurrent *training* step in another thread would also skip caches)
 # does not arise in this codebase — training and serving never share a
 # process window — and is documented in DESIGN.md.

@@ -68,7 +68,7 @@ class MaxPool1d(Module):
         windows = trimmed.reshape(n, c, l_out, self.kernel_size)
         if not is_inference():
             # argmax exists solely to route gradients — skip it entirely
-            # on the inference fast path.
+            # under inference_mode.
             self._cache = (windows.argmax(axis=3), x.shape, l_out)
         return windows.max(axis=3)
 

@@ -24,7 +24,7 @@ Layers, inside out:
   (DESIGN.md §12).
 * :mod:`~repro.serve.service` — :class:`DeviceScopeService`, the
   transport-free request logic (CRUD, ingestion, detect/localize
-  through the fast path + cache, metrics/health payloads), every call
+  through the CamAL sweep + cache, metrics/health payloads), every call
   wrapped in ``obs.request`` so telemetry, the store, and drift
   observation work unchanged.
 * :mod:`~repro.serve.http` — the socket layer: JSON routing, tenant

@@ -19,7 +19,7 @@ Every request runs through :meth:`DeviceScopeService.execute`:
    :class:`~repro.obs.SloTracker`, on top of the global one that the
    request scope feeds automatically).
 
-Inference routes through the PR 3 fast path and the tenant's
+Inference routes through the single CamAL sweep and the tenant's
 :class:`~repro.core.ResultCache`; degraded results are returned but
 never cached (the PR 4 contract, enforced by ``cache_if``).
 """
@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from .. import obs
-from ..core import CamAL, live_window_key, window_key
+from ..core import CamAL, CamALResult, live_window_key, window_key
 from ..datasets import APPLIANCE_NAMES, Standardizer, build_dataset
 from ..models import ResNetEnsemble
 from ..obs import context as obs_context
@@ -597,14 +597,7 @@ class DeviceScopeService:
         house = self._house(tenant, house_id)
         appliance = body.get("appliance")
         with tenant.lock:
-            if appliance not in house.devices:
-                raise ServiceError(
-                    409,
-                    f"appliance {appliance!r} is not attached to "
-                    f"{house_id!r}; POST it to /houses/{house_id}/devices "
-                    "first",
-                    attached=sorted(house.devices),
-                )
+            _require_attached(house, appliance)
             start = body.get("start")
             length = body.get("length")
             start, length = _window_bounds(house, start, length)
@@ -613,7 +606,7 @@ class DeviceScopeService:
 
     def _localize(
         self, tenant: TenantSession, house_id: str, body: dict
-    ) -> tuple[dict, "np.ndarray | None", int, int]:
+    ) -> tuple[dict, CamALResult, int]:
         appliance, window, start, length = self._analysis_window(
             tenant, house_id, body
         )
@@ -639,48 +632,27 @@ class DeviceScopeService:
         result = tenant.cache.get_or_compute(
             key, compute, cache_if=lambda r: not r.any_degraded
         )
-        if result.degraded[0]:
-            verdict = "degraded"
-        elif result.repaired[0]:
-            verdict = "repaired"
-        else:
-            verdict = "ok"
-        probability = float(result.probabilities[0])
         base = {
             "house_id": house_id,
             "appliance": appliance,
             "start": start,
             "length": length,
-            "probability": None if np.isnan(probability) else probability,
-            "detected": bool(result.detected[0]),
-            "verdict": verdict,
+            **_detection_fields(result),
             "cached": not computed,
         }
-        status = None if result.degraded[0] else result.status[0]
-        return base, status, start, length
+        return base, result, start
 
     def detect(
         self, tenant: TenantSession, house_id: str, body: dict
     ) -> tuple[int, dict]:
-        base, status, _, _ = self._localize(tenant, house_id, body)
+        base, _, _ = self._localize(tenant, house_id, body)
         return 200, base
 
     def localize(
         self, tenant: TenantSession, house_id: str, body: dict
     ) -> tuple[int, dict]:
-        base, status, start, length = self._localize(tenant, house_id, body)
-        if status is None:
-            base.update({"on_fraction": None, "intervals": []})
-            return 200, base
-        on = status > 0.5
-        base.update({
-            "on_fraction": float(on.mean()),
-            # Half-open [start, end) sample intervals, absolute indices.
-            "intervals": [
-                [int(a) + start, int(b) + start] for a, b in _runs(on)
-            ],
-        })
-        return 200, base
+        base, result, start = self._localize(tenant, house_id, body)
+        return 200, {**base, **_status_fields(result, start)}
 
     def live_localize(
         self,
@@ -712,14 +684,7 @@ class DeviceScopeService:
                 f"window must be in [{TIME_TILE}, {MAX_WINDOW_SAMPLES}]",
             )
         with tenant.lock:
-            if appliance not in house.devices:
-                raise ServiceError(
-                    409,
-                    f"appliance {appliance!r} is not attached to "
-                    f"{house_id!r}; POST it to /houses/{house_id}/devices "
-                    "first",
-                    attached=sorted(house.devices),
-                )
+            _require_attached(house, appliance)
             if house.n_steps < 2:
                 raise ServiceError(
                     409,
@@ -753,42 +718,21 @@ class DeviceScopeService:
         loc = tenant.cache.get_or_compute(
             key, compute, cache_if=lambda v: not v.result.degraded[0]
         )
-        result = loc.result
-        if result.degraded[0]:
-            verdict = "degraded"
-        elif result.repaired[0]:
-            verdict = "repaired"
-        else:
-            verdict = "ok"
-        probability = float(result.probabilities[0])
-        payload = {
+        return 200, {
             "house_id": house_id,
             "appliance": appliance,
             "start": loc.start,
             "length": loc.end - loc.start,
             "epoch": int(epoch),
-            "probability": None if np.isnan(probability) else probability,
-            "detected": bool(result.detected[0]),
-            "verdict": verdict,
+            **_detection_fields(loc.result),
             "cached": not computed,
             "reuse": {
                 "reused": loc.reused,
                 "computed": loc.computed,
                 "ratio": loc.reuse_ratio,
             },
+            **_status_fields(loc.result, loc.start),
         }
-        if result.degraded[0]:
-            payload.update({"on_fraction": None, "intervals": []})
-            return 200, payload
-        on = result.status[0] > 0.5
-        payload.update({
-            "on_fraction": float(on.mean()),
-            # Half-open [start, end) sample intervals, absolute indices.
-            "intervals": [
-                [int(a) + loc.start, int(b) + loc.start] for a, b in _runs(on)
-            ],
-        })
-        return 200, payload
 
     # -- introspection -----------------------------------------------------
 
@@ -945,6 +889,46 @@ def _window_bounds(
             f"{n} ingested samples",
         )
     return start, length
+
+
+def _require_attached(house: TenantHouse, appliance) -> None:
+    """409 unless ``appliance`` is attached to ``house`` (tenant lock held)."""
+    if appliance not in house.devices:
+        raise ServiceError(
+            409,
+            f"appliance {appliance!r} is not attached to "
+            f"{house.house_id!r}; POST it to "
+            f"/houses/{house.house_id}/devices first",
+            attached=sorted(house.devices),
+        )
+
+
+def _detection_fields(result: CamALResult) -> dict:
+    """Row 0's probability (NaN → ``None``), detection and verdict."""
+    if result.degraded[0]:
+        verdict = "degraded"
+    elif result.repaired[0]:
+        verdict = "repaired"
+    else:
+        verdict = "ok"
+    probability = float(result.probabilities[0])
+    return {
+        "probability": None if np.isnan(probability) else probability,
+        "detected": bool(result.detected[0]),
+        "verdict": verdict,
+    }
+
+
+def _status_fields(result: CamALResult, start: int) -> dict:
+    """Row 0's ON fraction and half-open ``[start, end)`` intervals in
+    absolute sample indices; a degraded row localizes nothing."""
+    if result.degraded[0]:
+        return {"on_fraction": None, "intervals": []}
+    on = result.status[0] > 0.5
+    return {
+        "on_fraction": float(on.mean()),
+        "intervals": [[a + start, b + start] for a, b in _runs(on)],
+    }
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:

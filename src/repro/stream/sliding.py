@@ -51,7 +51,6 @@ import numpy as np
 
 from .. import obs, quality
 from ..core.camal import CamAL, CamALResult
-from ..nn import functional as F
 from ..nn.conv import TIME_TILE, Conv1d
 from ..nn.module import inference_mode
 from ..robust.validate import DEFAULT_MAX_GAP, Verdict, validate_window
@@ -111,7 +110,7 @@ class SlidingCamAL:
     Parameters
     ----------
     camal:
-        The (eval-mode) model; its ``_finish`` post-processing and
+        The (eval-mode) model; its steps 1-6 (``_from_outputs``) and
         validation defaults are reused verbatim so results stay
         bit-identical to ``camal.localize_watts``.
     store:
@@ -256,24 +255,7 @@ class SlidingCamAL:
         features, reused, computed = self._assemble(
             x, changed_from, shift, l_old
         )
-        member_probabilities = {
-            i: F.softmax(logits, axis=1)[:, 1]
-            for i, (_, logits) in enumerate(features)
-        }
-        probabilities = np.mean(list(member_probabilities.values()), axis=0)
-        detected = probabilities > camal.config.detection_threshold
-        raw_cams = np.stack(
-            [
-                member.cam_from_features(feat)
-                for member, (feat, _) in zip(
-                    camal.ensemble.members, features
-                )
-            ]
-        )
-        result = camal._finish(
-            x[None, None, :], probabilities, detected, raw_cams,
-            member_probabilities,
-        )
+        result = camal._from_outputs(x[None, None, :], features)
         if is_repaired:
             result.repaired = np.array([True])
         camal._record_detection(result.probabilities)

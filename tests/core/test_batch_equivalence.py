@@ -30,8 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CamAL, CamALResult
+from repro.core import camal as camal_module
 from repro.datasets import Standardizer
 from repro.models import ResNetEnsemble
+from tests.reference import reference_localize_watts
 
 
 def make_camal(**kwargs) -> CamAL:
@@ -123,11 +125,12 @@ def test_detect_matches_row_by_row(camal):
         )
 
 
-def test_chunked_path_is_identical_to_unchunked():
+def test_chunked_path_is_identical_to_unchunked(monkeypatch):
     """The engine's internal chunking must not perturb rows either."""
     watts = windows(7, 64, seed=11)
     whole = make_camal().localize_watts(watts)
-    chunked = make_camal(chunk_size=3).localize_watts(watts)
+    monkeypatch.setattr(camal_module, "CHUNK_SIZE", 3)
+    chunked = make_camal().localize_watts(watts)
     for row in range(7):
         assert_rows_identical(chunked, whole.row(row), row)
 
@@ -141,13 +144,15 @@ def test_worker_fanout_is_identical_to_sequential():
 
 
 def test_legacy_path_rows_are_batch_invariant():
-    """fast_path=False is the reference pipeline — same contract."""
-    legacy = make_camal(fast_path=False)
+    """The plain reference (the former legacy pipeline) — same contract."""
+    model = make_camal()
     watts = windows(3, 49, seed=17)
-    batched = legacy.localize_watts(watts)
+    batched = reference_localize_watts(model, watts)
+    swept = model.localize_watts(watts)
     for row in range(3):
-        solo = legacy.localize_watts(watts[row : row + 1])
+        solo = reference_localize_watts(model, watts[row : row + 1])
         assert_rows_identical(batched, solo, row)
+        assert_rows_identical(swept, solo, row)
 
 
 # -- row()/split(): the scatter primitive --------------------------------

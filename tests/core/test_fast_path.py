@@ -1,29 +1,31 @@
-"""Equivalence suite: the inference fast path vs the legacy pipeline.
+"""Equivalence suite: the single CamAL sweep vs the plain reference.
 
-The fast path (one backbone pass per member under ``inference_mode``)
-must be **bit-identical** to the legacy three-pass pipeline — same
-numpy expressions, same reduction order. Chunked execution is the one
-sanctioned exception: BLAS may batch differently across chunk sizes, so
-chunked results are compared with ``allclose`` instead of bit-exact.
+``CamAL`` derives detection probabilities, per-member probabilities and
+CAMs from one backbone pass per member under ``inference_mode``; it must
+be **bit-identical** to the plain reference in ``tests/reference.py``
+(one backbone pass per consumer, the paper read literally) — same numpy
+expressions, same reduction order. Chunked execution and worker fan-out
+are no exception: both stay bitwise.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CamAL, CamALConfig
+from repro.core import camal as camal_module
 from repro.datasets import Standardizer
 from repro.models import ResNetEnsemble
 from repro.nn.module import Module
+from tests.reference import reference_localize
 
 
-def make_pair(kernel_sizes=(3, 5), seed=0, config=None, **fast_kwargs):
-    """Fast and legacy CamAL sharing one (untrained, eval'd) ensemble."""
+def make_model(kernel_sizes=(3, 5), seed=0, config=None, workers=None):
+    """A CamAL over an untrained, eval'd ensemble."""
     ens = ResNetEnsemble(kernel_sizes, n_filters=(4, 8, 8), seed=seed)
     ens.eval()
-    scaler = Standardizer()
-    fast = CamAL(ens, scaler, config, fast_path=True, **fast_kwargs)
-    legacy = CamAL(ens, scaler, config, fast_path=False)
-    return fast, legacy
+    return CamAL(ens, Standardizer(), config, workers=workers)
 
 
 def windows(n, t, seed=0):
@@ -48,44 +50,61 @@ def assert_results_identical(a, b):
 @pytest.mark.parametrize("length", [33, 64])
 def test_localize_bit_identical(kernel_sizes, length):
     """Across kernel sizes, member counts (1 and 4), and odd lengths."""
-    fast, legacy = make_pair(kernel_sizes)
+    model = make_model(kernel_sizes)
     x = windows(4, length, seed=len(kernel_sizes))
-    assert_results_identical(fast.localize(x), legacy.localize(x))
+    assert_results_identical(model.localize(x), reference_localize(model, x))
 
 
 def test_localize_bit_identical_with_postprocessing():
     config = CamALConfig(cam_floor=0.3, smooth_window=3, min_on_duration=2)
-    fast, legacy = make_pair(config=config)
+    model = make_model(config=config)
     x = windows(5, 40, seed=3)
-    assert_results_identical(fast.localize(x), legacy.localize(x))
+    assert_results_identical(model.localize(x), reference_localize(model, x))
+
+
+@given(
+    kernel_sizes=st.sampled_from([(5,), (3, 5, 7, 9)]),
+    length=st.integers(8, 40).map(lambda n: 2 * n + 1),
+    workers=st.sampled_from([None, 2]),
+    cam_floor=st.sampled_from([0.0, 0.25, 0.5]),
+    smooth_window=st.integers(0, 5),
+    min_on_duration=st.integers(0, 4),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=12, deadline=None)
+def test_localize_matches_reference_property(
+    kernel_sizes, length, workers, cam_floor, smooth_window,
+    min_on_duration, seed,
+):
+    config = CamALConfig(
+        cam_floor=cam_floor,
+        smooth_window=smooth_window,
+        min_on_duration=min_on_duration,
+    )
+    model = make_model(kernel_sizes, seed=seed, config=config, workers=workers)
+    x = windows(3, length, seed=seed)
+    try:
+        assert_results_identical(
+            model.localize(x), reference_localize(model, x)
+        )
+    finally:
+        model.ensemble.close()
 
 
 def test_detect_bit_identical():
-    fast, legacy = make_pair()
+    model = make_model()
     x = windows(6, 48, seed=4)
-    np.testing.assert_array_equal(fast.detect(x), legacy.detect(x))
-
-
-def test_predict_status_bit_identical():
-    fast, legacy = make_pair()
-    x = windows(3, 37, seed=5)
     np.testing.assert_array_equal(
-        fast.predict_status(x), legacy.predict_status(x)
+        model.detect(x), reference_localize(model, x).probabilities
     )
 
 
-def test_predict_with_cams_matches_separate_calls():
-    """The fused ensemble call against the three legacy accessors."""
-    ens = ResNetEnsemble((3, 5), n_filters=(4, 8, 8), seed=1)
-    ens.eval()
-    x = windows(4, 29, seed=6)
-    avg_proba, member_probas, cam_avg = ens.predict_with_cams(x)
-    np.testing.assert_array_equal(avg_proba, ens.predict_proba(x))
-    legacy_members = ens.member_probas(x)
-    assert set(member_probas) == set(legacy_members)
-    for key in member_probas:
-        np.testing.assert_array_equal(member_probas[key], legacy_members[key])
-    np.testing.assert_array_equal(cam_avg, ens.normalized_cams(x))
+def test_predict_status_bit_identical():
+    model = make_model()
+    x = windows(3, 37, seed=5)
+    np.testing.assert_array_equal(
+        model.predict_status(x), reference_localize(model, x).status
+    )
 
 
 def test_member_outputs_workers_bit_identical():
@@ -102,77 +121,43 @@ def test_member_outputs_workers_bit_identical():
 
 
 def test_localize_with_workers_matches_legacy():
-    fast, legacy = make_pair(kernel_sizes=(3, 5, 7), workers=2)
+    """Worker fan-out against the reference (the former legacy path)."""
+    model = make_model(kernel_sizes=(3, 5, 7), workers=2)
     x = windows(4, 45, seed=8)
-    assert_results_identical(fast.localize(x), legacy.localize(x))
+    assert_results_identical(model.localize(x), reference_localize(model, x))
 
 
-def test_chunked_localize_allclose():
-    """Chunking changes BLAS batch shapes — allow last-ulp drift only."""
-    chunked, _ = make_pair(chunk_size=3)
-    unchunked, _ = make_pair(chunk_size=1024)
-    x = windows(8, 36, seed=9)
-    a = chunked.localize(x)
-    b = unchunked.localize(x)
-    np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
-    np.testing.assert_allclose(a.cam, b.cam, atol=1e-12)
-    np.testing.assert_allclose(a.attention, b.attention, atol=1e-12)
-    np.testing.assert_allclose(a.uncertainty, b.uncertainty, atol=1e-12)
-    # Hard decisions compare away from the thresholds, where an ulp of
-    # drift cannot flip them.
-    decisive = np.abs(b.probabilities - 0.5) > 1e-9
-    np.testing.assert_array_equal(a.detected[decisive], b.detected[decisive])
-    cell = (np.abs(b.attention - 0.5) > 1e-9) & decisive[:, None]
-    np.testing.assert_array_equal(a.status[cell], b.status[cell])
-
-
-def test_chunked_detect_allclose():
-    chunked, _ = make_pair(chunk_size=2)
-    unchunked, _ = make_pair(chunk_size=1024)
+def test_chunked_detect_bit_identical(monkeypatch):
+    monkeypatch.setattr(camal_module, "CHUNK_SIZE", 2)
+    model = make_model()
     x = windows(7, 32, seed=10)
-    np.testing.assert_allclose(
-        chunked.detect(x), unchunked.detect(x), atol=1e-12
+    np.testing.assert_array_equal(
+        model.detect(x), reference_localize(model, x).probabilities
     )
 
 
-def test_chunks_cover_batch_in_order():
-    model, _ = make_pair(chunk_size=3)
+def test_chunks_cover_batch_in_order(monkeypatch):
+    monkeypatch.setattr(camal_module, "CHUNK_SIZE", 3)
     x = windows(8, 16, seed=11)
-    parts = list(model._chunks(x))
+    parts = list(camal_module._chunks(x))
     assert [p.shape[0] for p in parts] == [3, 3, 2]
     np.testing.assert_array_equal(np.concatenate(parts), x)
 
 
-def test_chunk_size_validation():
-    ens = ResNetEnsemble((3,), n_filters=(4, 8, 8))
-    with pytest.raises(ValueError, match="chunk_size"):
-        CamAL(ens, Standardizer(), chunk_size=0)
-
-
-def test_fast_path_leaves_no_layer_caches():
-    fast, _ = make_pair()
-    fast.localize(windows(2, 24, seed=12))
+def test_localize_leaves_no_layer_caches():
+    model = make_model()
+    model.localize(windows(2, 24, seed=12))
     leftovers = [
         (name, attr)
-        for name, child in fast.ensemble.named_modules()
+        for name, child in model.ensemble.named_modules()
         for attr in Module._CACHE_ATTRS
         if getattr(child, attr, None) is not None
     ]
     assert leftovers == []
 
 
-def test_legacy_path_still_caches_features():
-    """The legacy path exists precisely because it keeps the old
-    cache-everything behaviour (class_activation_map needs it)."""
-    _, legacy = make_pair()
-    legacy.localize(windows(2, 24, seed=13))
-    assert any(
-        member._features is not None for member in legacy.ensemble.members
-    )
-
-
-def test_calibrate_preserves_fast_path_settings():
-    fast, _ = make_pair(chunk_size=7, workers=2)
+def test_calibrate_preserves_workers():
+    model = make_model(workers=2)
     # calibrate() needs labelled windows; fabricate a minimal WindowSet.
     from repro.datasets import WindowSet
 
@@ -189,19 +174,18 @@ def test_calibrate_preserves_fast_path_settings():
         appliance="kettle",
         scaler=scaler,
     )
-    calibrated = fast.calibrate(ws)
-    assert calibrated.fast_path is True
-    assert calibrated.chunk_size == 7
+    calibrated = model.calibrate(ws)
     assert calibrated.workers == 2
 
 
 def test_fingerprint_tracks_model_identity_and_config():
-    fast, legacy = make_pair()
-    assert fast.fingerprint() == legacy.fingerprint()  # same ensemble+config
-    other, _ = make_pair(seed=9)
-    assert fast.fingerprint() != other.fingerprint()  # different ensemble
+    model = make_model()
+    same = CamAL(model.ensemble, model.scaler)
+    assert model.fingerprint() == same.fingerprint()  # same ensemble+config
+    other = make_model(seed=9)
+    assert model.fingerprint() != other.fingerprint()  # different ensemble
     retuned = CamAL(
-        fast.ensemble, fast.scaler, CamALConfig(detection_threshold=0.4)
+        model.ensemble, model.scaler, CamALConfig(detection_threshold=0.4)
     )
-    assert fast.fingerprint() != retuned.fingerprint()  # different config
-    assert isinstance(hash(fast.fingerprint()), int)  # usable as cache key
+    assert model.fingerprint() != retuned.fingerprint()  # different config
+    assert isinstance(hash(model.fingerprint()), int)  # usable as cache key

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CamAL
+from repro.datasets import Standardizer
 from repro.models import DEFAULT_KERNEL_SIZES, ResNetEnsemble, normalize_cam
 
 
@@ -29,18 +31,18 @@ def test_predict_proba_is_mean_of_members():
     np.testing.assert_allclose(ens.predict_proba(x), expected)
 
 
-def test_member_probas_keys():
+def test_member_probabilities_keys():
     ens = small_ensemble((3, 5, 7))
     x = np.random.default_rng(1).normal(size=(2, 1, 32))
-    probas = ens.member_probas(x)
+    probas = CamAL(ens, Standardizer()).localize(x).member_probabilities
     assert set(probas) == {0, 1, 2}
     assert all(p.shape == (2,) for p in probas.values())
 
 
-def test_normalized_cams_in_unit_interval():
+def test_result_cam_in_unit_interval():
     ens = small_ensemble()
     x = np.random.default_rng(2).normal(size=(3, 1, 40))
-    cams = ens.normalized_cams(x)
+    cams = CamAL(ens, Standardizer()).localize(x).cam
     assert cams.shape == (3, 40)
     assert cams.min() >= 0.0
     assert cams.max() <= 1.0

@@ -112,7 +112,7 @@ def test_span_parent_child_ids_form_a_tree():
 
 
 def test_worker_thread_spans_carry_the_request_id():
-    """Acceptance: CamAL(fast_path=True, workers=2) under obs.request —
+    """Acceptance: CamAL(workers=2) under obs.request —
     every span (worker-thread member forwards included) is stamped."""
     obs.enable()
     model = _tiny_camal(workers=2)

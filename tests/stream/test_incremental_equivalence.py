@@ -36,6 +36,7 @@ from repro.datasets import Standardizer
 from repro.models import ResNetEnsemble
 from repro.nn.conv import TIME_TILE
 from repro.stream import LiveStore, SlidingCamAL, receptive_halo
+from tests.reference import reference_localize_watts
 
 
 def make_camal(**kwargs) -> CamAL:
@@ -154,10 +155,10 @@ def test_sliding_over_eviction_stays_identical(camal):
 
 def test_matches_worker_fanout_and_legacy_pipeline():
     """The cold reference is itself path-invariant (the batch harness),
-    so the stream result must equal *every* cold path: sequential
-    fast-path, worker fan-out, and the legacy three-pass pipeline."""
+    so the stream result must equal *every* cold path: the sequential
+    sweep, worker fan-out, and the plain reference (one backbone pass
+    per consumer, the former legacy pipeline)."""
     fanout = make_camal(workers=2)
-    legacy = make_camal(fast_path=False)
     model = make_camal()
     window = 96
     chunks = [9, 30, 33, 14]
@@ -173,7 +174,7 @@ def test_matches_worker_fanout_and_legacy_pipeline():
         loc = live.localize()
         watts = store.read(loc.start, loc.end - loc.start)[None]
         assert_identical(loc.result, fanout.localize_watts(watts))
-        assert_identical(loc.result, legacy.localize_watts(watts))
+        assert_identical(loc.result, reference_localize_watts(model, watts))
 
 
 class TestNanTaxonomy:

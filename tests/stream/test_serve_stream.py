@@ -217,6 +217,33 @@ class TestLiveLocalizeRoute:
         assert second["reuse"]["reused"] > 0
         assert 0.0 < second["reuse"]["ratio"] <= 1.0
 
+    def test_live_and_batch_routes_answer_the_same_window_alike(
+        self, service
+    ):
+        self.seed(service)
+        status, _, _ = append(service, watts=[2600.0] * 12 + [120.0] * 28)
+        assert status == 200
+        status, live, _ = self.live(service, window=128)
+        assert status == 200 and live["start"] > 0
+        status, batch, _ = run(
+            service,
+            "localize",
+            lambda t: service.localize(
+                t,
+                "h1",
+                {
+                    "appliance": "kettle",
+                    "start": live["start"],
+                    "length": live["length"],
+                },
+            ),
+        )
+        assert status == 200
+        for field in (
+            "probability", "detected", "verdict", "on_fraction", "intervals"
+        ):
+            assert batch[field] == live[field], field
+
 
 class TestHttpRoutes:
     """The two routes over a real socket, matching the PR 7 transport."""
