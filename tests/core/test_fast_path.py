@@ -127,6 +127,25 @@ def test_localize_with_workers_matches_legacy():
     assert_results_identical(model.localize(x), reference_localize(model, x))
 
 
+def test_chunked_localize_allclose(monkeypatch):
+    """Chunked and unchunked sweeps agree on every output of a batch."""
+    model = make_model()
+    x = windows(8, 36, seed=9)
+    b = model.localize(x)
+    monkeypatch.setattr(camal_module, "CHUNK_SIZE", 3)
+    a = model.localize(x)
+    np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
+    np.testing.assert_allclose(a.cam, b.cam, atol=1e-12)
+    np.testing.assert_allclose(a.attention, b.attention, atol=1e-12)
+    np.testing.assert_allclose(a.uncertainty, b.uncertainty, atol=1e-12)
+    # Hard decisions compare away from the thresholds, where an ulp of
+    # drift cannot flip them.
+    decisive = np.abs(b.probabilities - 0.5) > 1e-9
+    np.testing.assert_array_equal(a.detected[decisive], b.detected[decisive])
+    cell = (np.abs(b.attention - 0.5) > 1e-9) & decisive[:, None]
+    np.testing.assert_array_equal(a.status[cell], b.status[cell])
+
+
 def test_chunked_detect_bit_identical(monkeypatch):
     monkeypatch.setattr(camal_module, "CHUNK_SIZE", 2)
     model = make_model()
