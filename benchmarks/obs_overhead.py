@@ -7,11 +7,12 @@ equally:
 
 * **disabled** — observability off (the baseline).
 * **enabled** — ``obs.request`` scope with a live
-  :class:`~repro.obs.store.TelemetryStore` — the full serving path
-  including the per-request summary flush, not just the span fast path.
-* **profiled** — enabled *plus* the flight recorder retaining traces
-  and the :class:`~repro.obs.ContinuousProfiler` wall-clock stack
-  sampler running at its serving-default rate (~33 Hz), the always-on
+  :class:`~repro.obs.store.TelemetryStore` and the flight recorder
+  judging every request — the full serving path including the
+  per-request summary flush, not just the span fast path.
+* **profiled** — enabled *plus* the
+  :class:`~repro.obs.ContinuousProfiler` wall-clock stack sampler
+  running at its serving-default rate (~33 Hz), the always-on
   production configuration.
 
 Persists the measurement to
@@ -62,18 +63,14 @@ def measure(model, watts, profiler, rounds: int, warmup: int = 3):
 
     def run_enabled():
         obs.enable()
-        obs.set_flight(False)
         with obs.request(kind="bench", workload="obs_overhead"):
             model.localize_watts(watts)
 
-    def run_profiled():
-        # The sampler itself is started/stopped *outside* the timed
-        # window: in production it starts once at server boot, so what
-        # a request pays is steady-state sampling, not thread spawn.
-        obs.enable()
-        obs.set_flight(True)
-        with obs.request(kind="bench", workload="obs_overhead"):
-            model.localize_watts(watts)
+    # The profiled arm is the enabled arm with the sampler running. The
+    # sampler is started/stopped *outside* the timed window: in
+    # production it starts once at server boot, so what a request pays
+    # is steady-state sampling, not thread spawn.
+    run_profiled = run_enabled
 
     for _ in range(warmup):
         run_disabled()
@@ -95,7 +92,6 @@ def measure(model, watts, profiler, rounds: int, warmup: int = 3):
         profiled.append(time.perf_counter() - start)
         profiler.stop()
     obs.disable()
-    obs.set_flight(True)
     return (
         np.asarray(disabled),
         np.asarray(enabled),

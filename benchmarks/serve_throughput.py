@@ -27,6 +27,9 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/serve_throughput.py             # bench + persist
     PYTHONPATH=src python benchmarks/serve_throughput.py --gate \\
         --users 4 --requests 6 --tolerance 0.5                       # CI gate
+
+``--gate`` compares against the committed root-level
+``BENCH_serve_throughput.json`` (``--baseline`` overrides).
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ import numpy as np
 
 DEFAULT_OUT = (
     Path(__file__).resolve().parent / "results" / "BENCH_serve_throughput.json"
+)
+#: The committed gate baseline, measured with the CI flags
+#: (``--users 4 --requests 6``); refresh it with
+#: ``--out BENCH_serve_throughput.json`` from the repo root.
+DEFAULT_BASELINE = (
+    Path(__file__).resolve().parents[1] / "BENCH_serve_throughput.json"
 )
 
 
@@ -267,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="where to persist the bench JSON")
     parser.add_argument("--gate", action="store_true",
                         help="compare against --baseline instead of persisting")
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_OUT,
-                        help="stored BENCH_serve_throughput.json for --gate")
+    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
+                        help="committed BENCH_serve_throughput.json for --gate")
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="allowed normalized-ratio regression for --gate")
     args = parser.parse_args(argv)

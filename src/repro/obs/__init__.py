@@ -41,11 +41,9 @@ from .config import (
     enable,
     enabled,
     enabled_scope,
-    flight_enabled,
     is_quiet,
     is_verbose,
     set_enabled,
-    set_flight,
     set_quiet,
     set_verbose,
 )
@@ -115,8 +113,6 @@ __all__ = [
     "parse_traceparent",
     "parse_tracestate",
     "format_traceparent",
-    "flight_enabled",
-    "set_flight",
     "FlightRecorder",
     "flight_recorder",
     "ContinuousProfiler",

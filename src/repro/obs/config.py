@@ -28,19 +28,11 @@ __all__ = [
     "set_verbose",
     "is_quiet",
     "set_quiet",
-    "flight_enabled",
-    "set_flight",
 ]
 
 _ENABLED = False
 _VERBOSE = False
 _QUIET = False
-#: Whether completed request scopes feed the flight recorder
-#: (:mod:`repro.obs.flight`). On by default — recording is a ring-buffer
-#: append plus a small size estimate, well inside the telemetry-overhead
-#: budget — but operators who want the absolute minimum per-request cost
-#: can switch the flight ring off without losing metrics or spans.
-_FLIGHT = True
 
 
 def enabled() -> bool:
@@ -92,12 +84,3 @@ def set_quiet(flag: bool) -> None:
     global _QUIET
     _QUIET = bool(flag)
 
-
-def flight_enabled() -> bool:
-    """Do completed requests land in the flight recorder ring?"""
-    return _ENABLED and _FLIGHT
-
-
-def set_flight(flag: bool) -> None:
-    global _FLIGHT
-    _FLIGHT = bool(flag)

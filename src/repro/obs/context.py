@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import config
+from . import config, flight
 
 __all__ = [
     "RequestContext",
@@ -150,6 +150,9 @@ class RequestContext:
     #: First log record per (warning name, labels) — repeats bump the
     #: record's ``count`` instead of flooding the event buffer.
     warning_records: dict[_WarningKey, dict] = field(default_factory=dict)
+    #: This request's completed root spans (worker threads included),
+    #: judged by the flight recorder when the scope exits.
+    roots: list = field(default_factory=list)
 
     def mark_degraded(self) -> None:
         """Downgrade the request verdict (errors are never overwritten)."""
@@ -278,10 +281,7 @@ def _finish(ctx: RequestContext, duration_s: float) -> None:
         **ctx.tags,
     )
     _flush_to_store(ctx, duration_s)
-    if config.flight_enabled():
-        from . import flight
-
-        flight.recorder.finish_request(ctx, duration_s)
+    flight.recorder.finish_request(ctx, duration_s)
 
 
 def _flush_to_store(ctx: RequestContext, duration_s: float) -> None:
@@ -349,17 +349,9 @@ def record_rejected(
         outcome=outcome,
         **tags,
     )
-    if config.flight_enabled():
-        from . import flight
-
-        flight.recorder.record_rejected(
-            request_id=rid,
-            trace_id=trace_id or "",
-            kind=kind,
-            outcome=outcome,
-            duration_s=duration_s,
-            tags=dict(tags),
-        )
+    flight.recorder.record_rejected(
+        rid, trace_id or "", kind, outcome, duration_s, tags
+    )
 
 
 def reset() -> None:

@@ -4,9 +4,9 @@ that matter.
 The :class:`~repro.obs.tracing.Tracer` ring keeps *every* recent root
 span, which is the right default for a notebook but the wrong shape for
 an incident at serving scale: 10k healthy traces crowd out the three
-that explain the outage. The flight recorder inverts the policy —
-**tail-based retention** decides *after* a request completes whether its
-trace is worth keeping:
+that explain the outage. The flight recorder is a **retention policy**
+over those same trees, not a second store — **tail-based retention**
+decides *after* a request completes whether its trace is worth keeping:
 
 * ``error`` / ``degraded`` / ``shed`` outcomes are **always** retained;
 * requests at or above the rolling p90 duration (and strictly above the
@@ -16,22 +16,23 @@ trace is worth keeping:
   RNG) so the ring also holds a baseline of healthy traces to diff
   against.
 
-Retention is bounded twice — by entry count and by estimated JSON
-bytes — and eviction is tiered: ``sampled`` entries go first, then
-``slow``, then oldest-of-anything, so an incident's error traces are the
-last thing squeezed out.
+Only a kept request's trees are serialized (once, into the entry's
+``spans``). Retention is bounded twice — by entry count and by
+estimated JSON bytes — and eviction is tiered: ``sampled`` entries go
+first, then ``slow``, then oldest-of-anything, so an incident's error
+traces are the last thing squeezed out.
 
 Entries whose outcome is in the always-keep class are additionally
 dumped to the installed :class:`~repro.obs.store.TelemetryStore` (PR 6)
 best-effort, so a crash right after the bad request still leaves the
 trace on disk.
 
-Wiring: :meth:`Tracer._close` feeds completed root spans to
-:meth:`FlightRecorder.add_root`; :func:`repro.obs.context._finish`
-calls :meth:`FlightRecorder.finish_request` when the outermost request
-scope exits; early-reject paths go through
-:func:`repro.obs.context.record_rejected`. All three are gated on
-:func:`repro.obs.config.flight_enabled`.
+Wiring: :meth:`Tracer._close` appends each request's root spans to its
+``RequestContext.roots``; :func:`repro.obs.context._finish` hands the
+context to :meth:`FlightRecorder.finish_request` when the outermost
+scope exits, and early rejects go through
+:func:`repro.obs.context.record_rejected`. Both share one retention
+path and run whenever observability is enabled.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import random
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 
 __all__ = ["FlightRecorder", "recorder"]
 
@@ -72,12 +73,7 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._entries: deque[dict] = deque()
         self._bytes = 0
-        #: Span trees buffered per in-flight request id. Bounded so a
-        #: request that never finishes (or spans emitted outside any
-        #: serve scope) cannot grow memory without limit.
-        self._pending: OrderedDict[str, list[dict]] = OrderedDict()
-        self._pending_cap = 1024
-        #: Rolling durations of recent *completed* requests — the p90 of
+        #: Rolling durations of recent *served* requests — the p90 of
         #: this window is the "slow" retention threshold.
         self._durations: deque[float] = deque(maxlen=slow_window)
         # Counters (exposed via stats(), not the metrics registry, so
@@ -89,59 +85,12 @@ class FlightRecorder:
 
     # -- ingest ------------------------------------------------------------
 
-    def add_root(self, span) -> None:
-        """Buffer a completed root span tree under its request id."""
-        rid = span.request_id
-        if rid is None:
-            return
-        tree = span.to_dict()
-        with self._lock:
-            bucket = self._pending.get(rid)
-            if bucket is None:
-                while len(self._pending) >= self._pending_cap:
-                    self._pending.popitem(last=False)
-                bucket = []
-                self._pending[rid] = bucket
-            bucket.append(tree)
-
     def finish_request(self, ctx, duration_s: float) -> None:
-        """Apply retention to a completed request's buffered trace."""
-        with self._lock:
-            spans = self._pending.pop(ctx.request_id, [])
-            self._seen += 1
-            threshold = self._slow_threshold_locked()
-            # "Slow" must also beat the *fastest* recent request: when
-            # every request takes the same time the p90 equals that
-            # time, and without the floor a uniform-latency load would
-            # read as 100% slow and flood the ring.
-            floor = min(self._durations) if self._durations else 0.0
-            self._durations.append(duration_s)
-            outcome = ctx.outcome
-            if outcome in KEEP_OUTCOMES:
-                reason = outcome
-            elif (
-                threshold is not None
-                and duration_s >= threshold
-                and duration_s > floor
-            ):
-                reason = "slow"
-            elif self._rng.random() < self.sample_rate:
-                reason = "sampled"
-            else:
-                return
-            entry = {
-                "request_id": ctx.request_id,
-                "trace_id": ctx.trace_id,
-                "kind": ctx.kind,
-                "outcome": outcome,
-                "duration_s": duration_s,
-                "tags": dict(ctx.tags),
-                "reason": reason,
-                "spans": spans,
-            }
-            self._retain_locked(entry)
-        if outcome in KEEP_OUTCOMES:
-            self._dump_to_store(entry)
+        """Apply retention to a completed request and its root trees."""
+        self._offer(
+            ctx.request_id, ctx.trace_id, ctx.kind, ctx.outcome,
+            duration_s, ctx.tags, ctx.roots, timed=True,
+        )
 
     def record_rejected(
         self,
@@ -153,14 +102,43 @@ class FlightRecorder:
         tags: dict,
     ) -> None:
         """Record a request refused before any span could be emitted."""
+        self._offer(
+            request_id, trace_id, kind, outcome, duration_s, tags, (),
+            timed=False,
+        )
+
+    def _offer(
+        self, request_id, trace_id, kind, outcome, duration_s, tags, roots,
+        timed: bool,
+    ) -> None:
+        """Pick the retention tier; serialize ``roots`` only if kept.
+
+        Only ``timed`` (served) requests enter the duration window or
+        the ``slow`` tier: a refusal was never timed, and its 0 s would
+        drag the fastest-recent floor below every served request.
+        """
         with self._lock:
             self._seen += 1
-            self._durations.append(duration_s)
+            threshold = self._slow_threshold_locked() if timed else None
             if outcome in KEEP_OUTCOMES:
                 reason = outcome
+            # "Slow" must also beat the *fastest* recent request: when
+            # every request takes the same time the p90 equals that
+            # time, and without the floor a uniform-latency load would
+            # read as 100% slow and flood the ring.
+            elif (
+                threshold is not None
+                and duration_s >= threshold
+                and duration_s > min(self._durations)
+            ):
+                reason = "slow"
             elif self._rng.random() < self.sample_rate:
                 reason = "sampled"
             else:
+                reason = None
+            if timed:
+                self._durations.append(duration_s)
+            if reason is None:
                 return
             entry = {
                 "request_id": request_id,
@@ -170,7 +148,7 @@ class FlightRecorder:
                 "duration_s": duration_s,
                 "tags": dict(tags),
                 "reason": reason,
-                "spans": [],
+                "spans": [root.to_dict() for root in roots],
             }
             self._retain_locked(entry)
         if outcome in KEEP_OUTCOMES:
@@ -253,7 +231,6 @@ class FlightRecorder:
                 "seen": self._seen,
                 "kept": self._kept,
                 "evicted": self._evicted,
-                "pending": len(self._pending),
                 "store_failures": self._store_failures,
                 "by_reason": by_reason,
                 "slow_threshold_s": self._slow_threshold_locked(),
@@ -268,30 +245,9 @@ class FlightRecorder:
             spans.extend(entry["spans"])
         return export.to_chrome_trace(spans)
 
-    def configure(
-        self,
-        max_entries: "int | None" = None,
-        max_bytes: "int | None" = None,
-        sample_rate: "float | None" = None,
-    ) -> None:
-        """Adjust bounds in place (existing entries re-evicted)."""
-        with self._lock:
-            if max_entries is not None:
-                if max_entries < 1:
-                    raise ValueError("max_entries must be >= 1")
-                self.max_entries = max_entries
-            if max_bytes is not None:
-                if max_bytes < 1:
-                    raise ValueError("max_bytes must be >= 1")
-                self.max_bytes = max_bytes
-            if sample_rate is not None:
-                self.sample_rate = float(sample_rate)
-            self._evict_locked()
-
     def reset(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._pending.clear()
             self._durations.clear()
             self._bytes = 0
             self._seen = 0

@@ -24,6 +24,11 @@ into worker threads), the ``request_id`` of the active
 (:func:`repro.obs.export.to_chrome_trace`) needs to lay spans out on
 per-thread tracks.
 
+Wiring: a root span opened inside an ``obs.request(...)`` scope is also
+appended to that request's ``RequestContext.roots`` (worker threads
+reach the same object through ``copy_context()``); the flight recorder
+judges those trees when the request ends and keeps no copy of its own.
+
 When observability is disabled (:mod:`repro.obs.config`), ``span()``
 returns a shared no-op context manager: one flag check, no allocation,
 so instrumented code pays nothing.
@@ -166,12 +171,13 @@ NOOP_SPAN = _NoopSpan()
 class _SpanContext:
     """Context manager that opens/closes one real span."""
 
-    __slots__ = ("_tracer", "_span", "_token")
+    __slots__ = ("_tracer", "_span", "_token", "_request")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
         self._tracer = tracer
         self._span = Span(name, attrs)
         self._token = None
+        self._request = None
 
     def __enter__(self) -> Span:
         span = self._span
@@ -180,8 +186,9 @@ class _SpanContext:
         span.parent_id = _ACTIVE_SPAN_ID.get()
         request = context.current_request()
         if request is not None:
+            self._request = request
             span.request_id = request.request_id
-            span.trace_id = getattr(request, "trace_id", None) or None
+            span.trace_id = request.trace_id or None
         self._token = _ACTIVE_SPAN_ID.set(span.span_id)
         self._tracer._stack().append(span)
         if tracemalloc.is_tracing():
@@ -200,7 +207,7 @@ class _SpanContext:
         if self._token is not None:
             _ACTIVE_SPAN_ID.reset(self._token)
             self._token = None
-        self._tracer._close(span)
+        self._tracer._close(span, self._request)
         return False
 
 
@@ -243,7 +250,7 @@ class Tracer:
             self._local.stack = stack
         return stack
 
-    def _close(self, span: Span) -> None:
+    def _close(self, span: Span, request=None) -> None:
         stack = self._stack()
         # The closing span is on top unless user code misused the API;
         # remove it wherever it is so exceptions can't wedge the stack.
@@ -258,13 +265,8 @@ class Tracer:
                 if len(self._roots) == self._roots.maxlen:
                     self._dropped += 1
                 self._roots.append(span)
-            # Feed completed root trees to the flight recorder outside
-            # the ring lock — it buffers them per request until the
-            # request scope closes and retention is decided.
-            if span.request_id is not None and config.flight_enabled():
-                from . import flight
-
-                flight.recorder.add_root(span)
+                if request is not None:  # same order as the ring
+                    request.roots.append(span)
 
     # -- retrieval / export -----------------------------------------------
 

@@ -425,6 +425,32 @@ class DeviceScopeService:
 
     # -- ingestion + series ------------------------------------------------
 
+    @staticmethod
+    def _write_samples(tenant, house, watts, factor, write):
+        """The one write path for house samples: under the tenant lock,
+        413 (nothing written) if the ``planned`` resampled samples
+        overflow the quota, else return ``write()``, which commits them.
+        """
+        with tenant.lock:
+            planned = house.store.plan(watts.size, factor)
+            if house.n_steps + planned > house.max_samples:
+                raise ServiceError(
+                    413,
+                    f"house {house.house_id!r} holds {house.n_steps} of its "
+                    f"{house.max_samples}-sample quota; this batch would "
+                    f"commit {planned} samples and does not fit — delete "
+                    "the house or create a new one",
+                    n_steps=house.n_steps,
+                    max_samples=house.max_samples,
+                )
+            result = write()
+        if obs.enabled() and watts.size:
+            obs.registry.counter(
+                "serve.samples_ingested_total",
+                help="watt samples appended through the ingest endpoint",
+            ).inc(planned, tenant=tenant.tenant_id)
+        return result
+
     def ingest(
         self, tenant: TenantSession, house_id: str, body: dict
     ) -> tuple[int, dict]:
@@ -432,23 +458,9 @@ class DeviceScopeService:
         watts = _as_watts(body.get("watts"))
         if watts.size == 0:
             raise ServiceError(400, "watts (non-empty list) is required")
-        with tenant.lock:
-            if house.n_steps + watts.size > house.max_samples:
-                raise ServiceError(
-                    413,
-                    f"house {house_id!r} holds {house.n_steps} of its "
-                    f"{house.max_samples}-sample quota; this batch of "
-                    f"{watts.size} does not fit — delete the house or "
-                    "create a new one",
-                    n_steps=house.n_steps,
-                    max_samples=house.max_samples,
-                )
-            n_steps = house.ingest(watts)
-        if obs.enabled():
-            obs.registry.counter(
-                "serve.samples_ingested_total",
-                help="watt samples appended through the ingest endpoint",
-            ).inc(int(watts.size), tenant=tenant.tenant_id)
+        n_steps = self._write_samples(
+            tenant, house, watts, 1, lambda: house.ingest(watts)
+        )
         return 200, {
             "house_id": house_id,
             "appended": int(watts.size),
@@ -492,24 +504,10 @@ class DeviceScopeService:
             factor = 1
         elif not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise ServiceError(400, "factor must be a positive integer")
-        with tenant.lock:
-            planned = house.store.plan(watts.size, factor)
-            if house.n_steps + planned > house.max_samples:
-                raise ServiceError(
-                    413,
-                    f"house {house_id!r} holds {house.n_steps} of its "
-                    f"{house.max_samples}-sample quota; this batch would "
-                    f"commit {planned} resampled samples and does not fit "
-                    "— delete the house or create a new one",
-                    n_steps=house.n_steps,
-                    max_samples=house.max_samples,
-                )
-            committed = house.append(watts, factor=factor)
-        if obs.enabled() and watts.size:
-            obs.registry.counter(
-                "serve.samples_ingested_total",
-                help="watt samples appended through the ingest endpoint",
-            ).inc(int(committed), tenant=tenant.tenant_id)
+        committed = self._write_samples(
+            tenant, house, watts, factor,
+            lambda: house.append(watts, factor=factor),
+        )
         uid, epoch = house.epoch
         return 200, {
             "house_id": house_id,

@@ -132,18 +132,10 @@ class TenantHouse:
     def ingest(self, watts: np.ndarray) -> int:
         """Append one batch of readings; returns the new length.
 
-        Raises :class:`OverflowError` when the batch would push the
-        house past ``max_samples`` (the service maps this to a 413).
+        Raises :class:`OverflowError`, appending nothing, when the batch
+        would push the house past ``max_samples`` (the quota-mode store's
+        capacity; the service maps this to a 413).
         """
-        watts = np.asarray(watts, dtype=np.float64)
-        if watts.ndim != 1:
-            raise ValueError("ingest expects a flat list of watt readings")
-        if self.n_steps + watts.size > self.max_samples:
-            raise OverflowError(
-                f"house {self.house_id!r} holds {self.n_steps} samples; "
-                f"appending {watts.size} would exceed the "
-                f"{self.max_samples}-sample quota"
-            )
         self.store.append(watts)
         return self.store.total
 

@@ -6,7 +6,7 @@ error/degraded/shed traces plus the slowest decile, stays inside its
 entry and byte bounds, and tears down completely on ``obs.reset()``.
 """
 
-import pytest
+import numpy as np
 
 from repro import obs
 from repro.obs.flight import KEEP_OUTCOMES, FlightRecorder
@@ -21,6 +21,7 @@ class _Ctx:
         self.kind = kind
         self.trace_id = trace_id
         self.tags = {}
+        self.roots = []
 
 
 def _finish(rec, rid, outcome="ok", duration_s=0.001):
@@ -110,19 +111,20 @@ def test_record_rejected_keeps_sheds_without_spans():
     assert entries[0]["tags"]["reason"] == "slo_burn"
 
 
-def test_pending_span_buffer_is_bounded():
-    class _Span:
-        def __init__(self, rid):
-            self.request_id = rid
-
-        def to_dict(self):
-            return {"name": "s"}
-
-    rec = FlightRecorder()
-    rec._pending_cap = 8
-    for i in range(32):
-        rec.add_root(_Span(f"r{i}"))
-    assert rec.stats()["pending"] == 8
+def test_shed_does_not_pull_the_slow_floor_to_zero():
+    """A refusal is never timed: its 0 s must not enter the rolling
+    window, or every request at the (uniform) p90 reads as slow."""
+    rec = FlightRecorder(sample_rate=0.0)
+    for i in range(40):
+        _finish(rec, f"a{i}", duration_s=0.01)
+    rec.record_rejected(
+        request_id="shed-1", trace_id="c" * 32, kind="serve",
+        outcome="shed", duration_s=0.0, tags={},
+    )
+    for i in range(40):
+        _finish(rec, f"b{i}", duration_s=0.01)
+    assert rec.stats()["by_reason"] == {"shed": 1}
+    assert [e for e in rec.entries() if e["reason"] == "slow"] == []
 
 
 def test_mixed_load_acceptance_all_bad_plus_slow_decile():
@@ -186,25 +188,28 @@ def test_obs_reset_tears_down_the_flight_ring():
     obs.reset()
     stats = obs.flight_recorder.stats()
     assert stats["entries"] == 0 and stats["seen"] == 0
-    assert stats["pending"] == 0 and stats["bytes"] == 0
+    assert stats["bytes"] == 0
 
 
-def test_set_flight_disables_retention():
+def test_kept_entry_stores_each_request_tree_once():
+    """The entry's spans are the tracer's own roots for the request —
+    worker-thread member forwards included — serialized once."""
+    from repro.core import CamAL
+    from repro.datasets import Standardizer
+    from repro.models import ResNetEnsemble
+
     obs.enable()
-    obs.set_flight(False)
-    try:
-        with obs.request(kind="serve") as req:
-            req.set_outcome("error")
-    finally:
-        obs.set_flight(True)
-    assert obs.flight_recorder.stats()["seen"] == 0
-
-
-def test_configure_revalidates_bounds():
-    rec = FlightRecorder(sample_rate=0.0)
-    for i in range(10):
-        _finish(rec, f"e{i}", outcome="error")
-    rec.configure(max_entries=3)
-    assert rec.stats()["entries"] == 3
-    with pytest.raises(ValueError):
-        rec.configure(max_entries=0)
+    ensemble = ResNetEnsemble((5, 9), n_filters=(4, 8, 8), seed=0)
+    ensemble.eval()
+    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0), workers=2)
+    watts = np.random.default_rng(0).uniform(0, 3000, (2, 96))
+    with obs.request(kind="serve") as req:
+        req.set_outcome("degraded")  # always kept
+        model.localize_watts(watts)
+    rid = req.request_id
+    (entry,) = obs.flight_recorder.entries()
+    roots = [r for r in obs.tracer.roots() if r.request_id == rid]
+    assert entry["spans"] == [r.to_dict() for r in roots]
+    names = {r.name for r in roots}
+    assert "ensemble.member_forward" in names  # worker-thread roots
+    assert len({r.tid for r in roots}) > 1

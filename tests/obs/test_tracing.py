@@ -111,3 +111,38 @@ def test_camal_records_nothing_when_disabled():
     assert obs.tracer.roots() == []
     assert obs.registry.get("camal.detection_probability") is None
     assert obs.log.events() == []
+
+
+def test_request_roots_match_the_ring_under_thread_contention():
+    """Roots closed concurrently on many threads all land on their
+    request, in the same order as the tracer ring."""
+    import contextvars
+    import sys
+    import threading
+
+    obs.enable()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with obs.request(kind="serve") as req:
+
+            def work():
+                for i in range(50):
+                    with obs.span("worker", i=i):
+                        pass
+
+            threads = [
+                threading.Thread(target=contextvars.copy_context().run, args=(work,))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(req.roots) == 400
+    assert req.roots == [
+        r for r in obs.tracer.roots() if r.request_id == req.request_id
+    ]
