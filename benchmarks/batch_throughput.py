@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="where to persist the bench JSON")
     parser.add_argument("--gate", action="store_true",
-                        help="check thresholds instead of persisting")
+                        help="after persisting, check the thresholds")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         help="--gate floor for batched/serial windows-per-sec "
                         "(CI floor; the persisted reference run shows the "
@@ -289,12 +289,11 @@ def main(argv: list[str] | None = None) -> int:
 
     result = run_bench(args)
     print(json.dumps(result, indent=2))
-    if args.gate:
-        return gate(args, result)
+    # Persist first: the result is the evidence whichever way the gate goes.
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0
+    return gate(args, result) if args.gate else 0
 
 
 if __name__ == "__main__":

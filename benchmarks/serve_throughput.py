@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="where to persist the bench JSON")
     parser.add_argument("--gate", action="store_true",
-                        help="compare against --baseline instead of persisting")
+                        help="after persisting, compare against --baseline")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
                         help="committed BENCH_serve_throughput.json for --gate")
     parser.add_argument("--tolerance", type=float, default=0.5,
@@ -284,12 +284,11 @@ def main(argv: list[str] | None = None) -> int:
 
     result = run_bench(args)
     print(json.dumps(result, indent=2))
-    if args.gate:
-        return gate(args, result)
+    # Persist first: the result is the evidence whichever way the gate goes.
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0
+    return gate(args, result) if args.gate else 0
 
 
 if __name__ == "__main__":

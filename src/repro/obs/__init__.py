@@ -49,6 +49,7 @@ from .config import (
 )
 from .context import (
     NOOP_REQUEST,
+    Completion,
     RequestContext,
     current_request,
     format_traceparent,
@@ -56,7 +57,6 @@ from .context import (
     new_trace_id,
     parse_traceparent,
     parse_tracestate,
-    record_rejected,
     request,
 )
 from .contprof import ContinuousProfiler, thread_role
@@ -104,10 +104,10 @@ __all__ = [
     "NOOP_SPAN",
     "ModuleProfiler",
     "RequestContext",
+    "Completion",
     "NOOP_REQUEST",
     "request",
     "current_request",
-    "record_rejected",
     "new_trace_id",
     "new_span_id_hex",
     "parse_traceparent",

@@ -21,11 +21,14 @@ Semantics:
   id. Library layers (``Playground.view``, ``CamAL.localize``,
   ``SlidingWindowLocalizer``) can therefore all declare request scopes;
   the outermost caller wins and gets unified attribution.
-* **Latency + verdict recording**: when the outermost scope exits, the
-  request's wall time and outcome (``ok`` / ``degraded`` / ``error``)
-  are recorded into the ``obs.request_seconds`` histogram, the
+* **One completion record per request**: when the outermost scope
+  exits, its wall time and outcome (``ok`` / ``degraded`` / ``error``)
+  become an immutable :class:`Completion`, and :func:`complete` fans it
+  out to the ``obs.request_seconds`` histogram, the
   ``obs.requests_total`` counter, a structured ``request`` log event,
-  and the global :class:`~repro.obs.slo.SloTracker`.
+  the global :class:`~repro.obs.slo.SloTracker`, the telemetry store and
+  the flight recorder. The serve layer builds its own records (with
+  route, tenant, status and CPU) and ends in the same function.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Iterator
 from . import config, flight
 
 __all__ = [
+    "Completion",
     "RequestContext",
     "current_request",
     "request",
@@ -52,7 +56,8 @@ __all__ = [
     "parse_traceparent",
     "parse_tracestate",
     "format_traceparent",
-    "record_rejected",
+    "bind",
+    "complete",
 ]
 
 #: Tuple-of-pairs key identifying one (name, labels) warning signature.
@@ -160,16 +165,39 @@ class RequestContext:
             self.outcome = "degraded"
 
     def set_outcome(self, outcome: str) -> None:
-        """Override the verdict (e.g. ``client_error`` for handled 4xx).
-
-        Unlike the exception path, a set outcome survives a normal scope
-        exit — the serve layer uses it to record caller-caused failures
-        without spending the service's error budget.
-        """
+        """Override the verdict (e.g. ``client_error`` for handled 4xx);
+        unlike the exception path, it survives a normal scope exit."""
         self.outcome = str(outcome)
 
-    def set_tags(self, **tags: object) -> None:
-        self.tags.update(tags)
+
+@dataclass(frozen=True)
+class Completion:
+    """One finished request, as every sink reads it. ``admitted`` is
+    False for a response made before the request could run (a shed, a
+    bad tenant id, a 404); ``reason`` says why a request was refused."""
+
+    request_id: str
+    trace_id: str
+    kind: str
+    outcome: str
+    duration_s: float
+    route: str = ""
+    tenant: str = ""
+    status: int = 0
+    cpu_ms: float = 0.0
+    windows: int = 0
+    reason: str = ""
+    admitted: bool = True
+    tags: dict = field(default_factory=dict)
+
+    def labels(self) -> dict:
+        """``tags`` plus whichever of route, tenant, status and reason
+        are set: the labels of the log event, store row and flight entry."""
+        out = dict(self.tags)
+        for key in ("route", "tenant", "status", "reason"):
+            if getattr(self, key):
+                out[key] = getattr(self, key)
+        return out
 
 
 class _NoopRequest:
@@ -184,9 +212,6 @@ class _NoopRequest:
         pass
 
     def set_outcome(self, outcome: str) -> None:
-        pass
-
-    def set_tags(self, **tags: object) -> None:
         pass
 
 
@@ -219,9 +244,9 @@ def request(
 ) -> Iterator[RequestContext]:
     """Open (or join) a request scope; see the module docstring.
 
-    ``request_id`` / ``trace_id`` / ``parent_span_id`` let a transport
-    layer (the HTTP server) bind identity it already negotiated with the
-    client; all three default to fresh values. When an enclosing scope
+    ``request_id`` / ``trace_id`` / ``parent_span_id`` let a caller
+    bind identity it already negotiated with a client; all three
+    default to fresh values. When an enclosing scope
     is joined the explicit identity is ignored — one click, one id.
     """
     if not config._ENABLED:
@@ -240,118 +265,85 @@ def request(
         parent_span_id=parent_span_id,
         span_id_hex=new_span_id_hex(),
     )
-    token = _CURRENT.set(ctx)
     start = time.perf_counter()
     try:
-        yield ctx
+        with bind(ctx):
+            yield ctx
     except Exception:
         ctx.outcome = "error"
         raise
     finally:
-        duration_s = time.perf_counter() - start
+        complete(
+            Completion(
+                ctx.request_id, ctx.trace_id, ctx.kind, ctx.outcome,
+                time.perf_counter() - start, tags=ctx.tags,
+            ),
+            ctx.roots,
+        )
+
+
+@contextmanager
+def bind(ctx: "RequestContext | None") -> Iterator[None]:
+    """Make ``ctx`` the active request for the block, recording nothing
+    on exit — for a transport that times and completes it itself."""
+    token = _CURRENT.set(ctx)
+    try:
+        yield
+    finally:
         _CURRENT.reset(token)
-        _finish(ctx, duration_s)
 
 
-def _finish(ctx: RequestContext, duration_s: float) -> None:
-    """Record the completed request (outermost scope only)."""
+def complete(record: Completion, roots=()) -> None:
+    """Fan one completion record (and its root spans, for the flight
+    recorder) out to every telemetry sink. A record that was not
+    ``admitted`` stays out of the SLO window — a shed must not spend the
+    error budget it protects — and the telemetry store, whose history
+    tracks completed work."""
     if not config._ENABLED:  # disabled mid-request: drop silently
         return
     # Imported lazily: the package __init__ builds the singletons this
     # records into, and may still be executing at module import time.
-    from . import log, slo
+    from . import log, slo, store
     from .. import obs
 
+    labels = record.labels()
     obs.registry.histogram(
         "obs.request_seconds",
         help="wall time of request scopes (obs.request)",
-    ).observe(duration_s, kind=ctx.kind)
+    ).observe(record.duration_s, kind=record.kind)
     obs.registry.counter(
         "obs.requests_total",
         help="completed request scopes by kind and outcome",
-    ).inc(kind=ctx.kind, outcome=ctx.outcome)
-    slo.tracker.record(duration_s, outcome=ctx.outcome)
+    ).inc(kind=record.kind, outcome=record.outcome)
     log.event(
         "request",
-        request_id=ctx.request_id,
-        trace_id=ctx.trace_id,
-        request_kind=ctx.kind,
-        duration_s=duration_s,
-        outcome=ctx.outcome,
-        **ctx.tags,
+        request_id=record.request_id,
+        trace_id=record.trace_id,
+        request_kind=record.kind,
+        duration_s=record.duration_s,
+        outcome=record.outcome,
+        **labels,
     )
-    _flush_to_store(ctx, duration_s)
-    flight.recorder.finish_request(ctx, duration_s)
-
-
-def _flush_to_store(ctx: RequestContext, duration_s: float) -> None:
-    """Persist the request summary into the installed telemetry store.
-
-    Storage is best-effort: a full disk or revoked permissions must
-    degrade to a counter bump, never break the request being recorded.
-    """
-    from . import store as store_mod
-
-    telemetry_store = store_mod.active_store()
-    if telemetry_store is None:
-        return
-    try:
-        telemetry_store.record_request(
-            request_id=ctx.request_id,
-            kind=ctx.kind,
-            duration_s=duration_s,
-            outcome=ctx.outcome,
-            tags=ctx.tags,
-        )
-    except OSError:
-        from .. import obs
-
-        obs.registry.counter(
-            "obs.store_append_failures_total",
-            help="telemetry store appends dropped on disk errors",
-        ).inc()
-
-
-def record_rejected(
-    kind: str,
-    outcome: str,
-    duration_s: float = 0.0,
-    request_id: "str | None" = None,
-    trace_id: "str | None" = None,
-    **tags: object,
-) -> None:
-    """Bill a request that was rejected before any work scope opened.
-
-    Early-reject paths (bad tenant id, registry full, admission shed)
-    never enter ``obs.request`` — no thunk runs — but they still need to
-    show up in ``obs.requests_total`` and the flight recorder so the
-    operator sees *every* response the service produced. Deliberately
-    skipped: the SLO tracker (sheds must not consume error budget — the
-    whole point of shedding is to protect it) and the telemetry store
-    (its history tracks completed work, not refusals).
-    """
-    if not config._ENABLED:
-        return
-    from . import log
-    from .. import obs
-
-    rid = request_id or new_request_id(kind)
-    obs.registry.counter(
-        "obs.requests_total",
-        help="completed request scopes by kind and outcome",
-    ).inc(kind=kind, outcome=outcome)
-    log.event(
-        "request_rejected",
-        request_id=rid,
-        trace_id=trace_id or "",
-        request_kind=kind,
-        duration_s=duration_s,
-        outcome=outcome,
-        **tags,
-    )
-    flight.recorder.record_rejected(
-        rid, trace_id or "", kind, outcome, duration_s, tags
-    )
+    if record.admitted:
+        slo.tracker.record(record.duration_s, outcome=record.outcome)
+        telemetry_store = store.active_store()
+        # Best-effort: a full disk or revoked permissions degrade to a
+        # counter bump, never break the request being recorded.
+        try:
+            if telemetry_store is not None:
+                telemetry_store.record_request(
+                    request_id=record.request_id,
+                    kind=record.kind,
+                    duration_s=record.duration_s,
+                    outcome=record.outcome,
+                    tags=labels,
+                )
+        except OSError:
+            obs.registry.counter(
+                "obs.store_append_failures_total",
+                help="telemetry store appends dropped on disk errors",
+            ).inc()
+    flight.recorder.finish_request(record, roots)
 
 
 def reset() -> None:

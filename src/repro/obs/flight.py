@@ -28,11 +28,10 @@ best-effort, so a crash right after the bad request still leaves the
 trace on disk.
 
 Wiring: :meth:`Tracer._close` appends each request's root spans to its
-``RequestContext.roots``; :func:`repro.obs.context._finish` hands the
-context to :meth:`FlightRecorder.finish_request` when the outermost
-scope exits, and early rejects go through
-:func:`repro.obs.context.record_rejected`. Both share one retention
-path and run whenever observability is enabled.
+``RequestContext.roots``; :func:`repro.obs.context.complete` hands every
+request's completion record and those roots to
+:meth:`FlightRecorder.finish_request` — the one entry, for served
+requests and refusals alike — whenever observability is enabled.
 """
 
 from __future__ import annotations
@@ -85,41 +84,16 @@ class FlightRecorder:
 
     # -- ingest ------------------------------------------------------------
 
-    def finish_request(self, ctx, duration_s: float) -> None:
-        """Apply retention to a completed request and its root trees."""
-        self._offer(
-            ctx.request_id, ctx.trace_id, ctx.kind, ctx.outcome,
-            duration_s, ctx.tags, ctx.roots, timed=True,
-        )
-
-    def record_rejected(
-        self,
-        request_id: str,
-        trace_id: str,
-        kind: str,
-        outcome: str,
-        duration_s: float,
-        tags: dict,
-    ) -> None:
-        """Record a request refused before any span could be emitted."""
-        self._offer(
-            request_id, trace_id, kind, outcome, duration_s, tags, (),
-            timed=False,
-        )
-
-    def _offer(
-        self, request_id, trace_id, kind, outcome, duration_s, tags, roots,
-        timed: bool,
-    ) -> None:
-        """Pick the retention tier; serialize ``roots`` only if kept.
-
-        Only ``timed`` (served) requests enter the duration window or
-        the ``slow`` tier: a refusal was never timed, and its 0 s would
-        drag the fastest-recent floor below every served request.
-        """
+    def finish_request(self, record, roots=()) -> None:
+        """Apply retention to a :class:`~repro.obs.context.Completion`,
+        serializing its root trees only if kept. Only admitted requests
+        enter the duration window or the ``slow`` tier: a refusal's
+        near-zero time would drag the fastest-recent floor below every
+        served request."""
+        outcome, duration_s = record.outcome, record.duration_s
         with self._lock:
             self._seen += 1
-            threshold = self._slow_threshold_locked() if timed else None
+            threshold = self._slow_threshold_locked() if record.admitted else None
             if outcome in KEEP_OUTCOMES:
                 reason = outcome
             # "Slow" must also beat the *fastest* recent request: when
@@ -136,17 +110,17 @@ class FlightRecorder:
                 reason = "sampled"
             else:
                 reason = None
-            if timed:
+            if record.admitted:
                 self._durations.append(duration_s)
             if reason is None:
                 return
             entry = {
-                "request_id": request_id,
-                "trace_id": trace_id,
-                "kind": kind,
+                "request_id": record.request_id,
+                "trace_id": record.trace_id,
+                "kind": record.kind,
                 "outcome": outcome,
                 "duration_s": duration_s,
-                "tags": dict(tags),
+                "tags": record.labels(),
                 "reason": reason,
                 "spans": [root.to_dict() for root in roots],
             }

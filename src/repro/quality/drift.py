@@ -52,21 +52,27 @@ def psi(expected, actual, alpha: float = 0.5) -> float:
 
     ``expected``/``actual`` are per-bucket counts over the same edges.
     Returns 0.0 when either side is empty — no data is no evidence of
-    drift. Jeffreys pseudo-count smoothing (``alpha`` added to every
-    bucket *count*) keeps sparse buckets from dominating: with the
-    classic tiny-epsilon-on-proportions trick, one window landing in a
-    bucket the other side left empty contributes ~``ln(1/eps)`` and a
-    handful of singletons can push a small clean sample past the alert
-    threshold on binning noise alone.
+    drift. Both sides' bucket shares get the same additive floor,
+    ``alpha * (1/n_expected + 1/n_actual)`` — the scale of the sampling
+    noise in a share difference, so sparse buckets cannot dominate
+    (with the classic tiny-epsilon-on-proportions trick, one window
+    landing in a bucket the other side left empty contributes
+    ~``ln(1/eps)``, and a handful of singletons can push a small clean
+    sample past the alert threshold on binning noise alone). Because
+    the floor is shared, one shape at two sample sizes scores exactly
+    0; pseudo-counts added per *count* would smooth the smaller side
+    harder and read its size as drift.
     """
     expected = np.asarray(expected, dtype=np.float64).ravel()
     actual = np.asarray(actual, dtype=np.float64).ravel()
     if expected.shape != actual.shape:
         raise ValueError("PSI needs aligned bucket vectors")
-    if expected.sum() <= 0 or actual.sum() <= 0:
+    n_expected, n_actual = expected.sum(), actual.sum()
+    if n_expected <= 0 or n_actual <= 0:
         return 0.0
-    p = (expected + alpha) / (expected.sum() + alpha * expected.size)
-    q = (actual + alpha) / (actual.sum() + alpha * actual.size)
+    share = alpha * (1.0 / n_expected + 1.0 / n_actual)
+    p = (expected / n_expected + share) / (1.0 + share * expected.size)
+    q = (actual / n_actual + share) / (1.0 + share * actual.size)
     return float(np.sum((q - p) * np.log(q / p)))
 
 

@@ -24,9 +24,9 @@ Layers, inside out:
   (DESIGN.md §12).
 * :mod:`~repro.serve.service` — :class:`DeviceScopeService`, the
   transport-free request logic (CRUD, ingestion, detect/localize
-  through the CamAL sweep + cache, metrics/health payloads), every call
-  wrapped in ``obs.request`` so telemetry, the store, and drift
-  observation work unchanged.
+  through the CamAL sweep + cache, metrics/health payloads); every
+  response is one completion record that feeds the SLO windows, the
+  cost ledger and telemetry alike.
 * :mod:`~repro.serve.http` — the socket layer: JSON routing, tenant
   extraction, error mapping, graceful shutdown.
 

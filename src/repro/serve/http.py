@@ -31,16 +31,26 @@ GET      /debug/flight                         flight-recorder traces
 GET      /debug/pprof                          collapsed-stack profile
 =======  ====================================  ======================
 
+Billing (DESIGN.md §14): every request outside the operator plane —
+routed or not — is one completion record, opened by
+:meth:`DeviceScopeService.record` at handler entry (before the body is
+read) and closed after the last response byte is written;
+:meth:`DeviceScopeService.execute` fills it in for routed requests.
+Responses the handler makes itself (400 bad JSON, 413 on
+``Content-Length``, 404, 405, 500) are billed to the route name
+(``unrouted`` when no route matched) and to the tenant header if it is
+a valid id (else ``invalid``), and stay out of both SLO windows.
 ``/health``, ``/metrics``, and the ``/debug/*`` operator plane are
-**admission-exempt** and run outside ``obs.request`` scopes: they must
-answer under overload, and health pings must not dilute the SLO window
-they report on.
+**admission-exempt** and unbilled: they must answer under overload, and
+health pings must not dilute the SLO window they report on.
 
-Trace context (DESIGN.md §14): every request parses a W3C
+Trace context (DESIGN.md §14): every request's identity is minted once
+(:func:`~repro.serve.service.mint_trace`) from its W3C
 ``traceparent``/``tracestate`` pair (malformed headers are ignored, a
-fresh trace id is minted) and **every** response — including 404/405,
-body-parse 400s, 503 sheds, and 500s — carries ``X-Request-Id`` and
-``traceparent`` headers.
+fresh trace id is minted) and reused by the response headers, the
+request scope and the record, so **every** response — including
+404/405, body-parse 400s, 503 sheds, and 500s — carries
+``X-Request-Id`` and ``traceparent`` headers.
 
 Shutdown model (DESIGN.md §11): handler threads are non-daemon with
 ``block_on_close`` set, and the protocol is HTTP/1.0 (one request per
@@ -59,9 +69,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
-from ..obs import context as obs_context
 from ..obs.contprof import thread_role
-from .service import DeviceScopeService, ModelBank, ServiceError
+from .service import (
+    DeviceScopeService,
+    ModelBank,
+    ServiceError,
+    mint_trace,
+)
 
 __all__ = ["DeviceScopeServer", "build_server"]
 
@@ -72,38 +86,65 @@ _OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
-#: (method, compiled path regex, route name, admission-exempt)
-_ROUTES: list[tuple[str, re.Pattern, str, bool]] = [
-    ("GET", re.compile(r"^/health$"), "health", True),
-    ("GET", re.compile(r"^/metrics$"), "metrics", True),
-    ("GET", re.compile(r"^/appliances$"), "appliances", False),
-    ("GET", re.compile(r"^/houses$"), "houses.list", False),
-    ("POST", re.compile(r"^/houses$"), "houses.create", False),
-    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)$"), "houses.get", False),
-    ("DELETE", re.compile(r"^/houses/(?P<hid>[^/]+)$"), "houses.delete", False),
-    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/ingest$"), "ingest", False),
-    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/append$"), "append", False),
-    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)/series$"), "series", False),
+#: (method, compiled path regex, route name)
+_ROUTES: list[tuple[str, re.Pattern, str]] = [
+    ("GET", re.compile(r"^/health$"), "health"),
+    ("GET", re.compile(r"^/metrics$"), "metrics"),
+    ("GET", re.compile(r"^/appliances$"), "appliances"),
+    ("GET", re.compile(r"^/houses$"), "houses.list"),
+    ("POST", re.compile(r"^/houses$"), "houses.create"),
+    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)$"), "houses.get"),
+    ("DELETE", re.compile(r"^/houses/(?P<hid>[^/]+)$"), "houses.delete"),
+    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/ingest$"), "ingest"),
+    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/append$"), "append"),
+    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)/series$"), "series"),
     (
         "GET",
         re.compile(r"^/houses/(?P<hid>[^/]+)/live_localize$"),
         "live_localize",
-        False,
     ),
-    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)/devices$"), "devices.list", False),
-    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/devices$"), "devices.attach", False),
+    ("GET", re.compile(r"^/houses/(?P<hid>[^/]+)/devices$"), "devices.list"),
+    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/devices$"), "devices.attach"),
     (
         "DELETE",
         re.compile(r"^/houses/(?P<hid>[^/]+)/devices/(?P<appliance>[^/]+)$"),
         "devices.detach",
-        False,
     ),
-    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/detect$"), "detect", False),
-    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/localize$"), "localize", False),
+    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/detect$"), "detect"),
+    ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/localize$"), "localize"),
     # Operator plane: incident traces and the continuous profiler.
-    ("GET", re.compile(r"^/debug/flight$"), "debug.flight", True),
-    ("GET", re.compile(r"^/debug/pprof$"), "debug.pprof", True),
+    ("GET", re.compile(r"^/debug/flight$"), "debug.flight"),
+    ("GET", re.compile(r"^/debug/pprof$"), "debug.pprof"),
 ]
+
+#: Routes that are admission-exempt and unbilled (see the module docstring).
+_OPERATOR_PLANE = frozenset({"health", "metrics", "debug.flight", "debug.pprof"})
+
+#: The route label of a response to a path/method pair no route matches.
+UNROUTED = "unrouted"
+
+
+def _lookup(method: str, path: str) -> tuple["str | None", "re.Match | None"]:
+    """The matching route's name and path match, or ``(None, None)``."""
+    for route_method, pattern, name in _ROUTES:
+        if route_method == method:
+            match = pattern.match(path)
+            if match is not None:
+                return name, match
+    return None, None
+
+
+def _unrouted(method: str, path: str) -> ServiceError:
+    """405 for a wrong method on a known path, else 404."""
+    if any(pattern.match(path) for _, pattern, _ in _ROUTES):
+        return ServiceError(405, f"method {method} not allowed")
+    return ServiceError(404, f"no route {path!r}")
+
+
+def _error_response(err: Exception) -> tuple[int, dict]:
+    if isinstance(err, ServiceError):
+        return err.status, err.payload
+    return 500, {"error": f"internal error: {type(err).__name__}"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -125,77 +166,25 @@ class _Handler(BaseHTTPRequestHandler):
         if obs.enabled():
             obs.log.event("serve.access", line=format % args)
 
-    def _response_headers(self, headers: dict | None) -> dict:
-        """Trace identity first, then per-response headers on top.
-
-        The handler's own ``traceparent`` (generated in
-        :meth:`_begin_trace`) covers responses that never reach the
-        service (404, 405, body-parse errors, 500); when the service ran
-        the request it returns a ``traceparent`` whose span id matches
-        the request scope, and that one wins the merge.
-        """
-        merged = dict(getattr(self, "_trace_headers", None) or {})
-        merged.update(headers or {})
-        return merged
-
-    def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        body = json.dumps(payload, default=float).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in self._response_headers(headers).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, status: int, payload: dict, headers: dict) -> None:
+        self._send_text(
+            status,
+            json.dumps(payload, default=float),
+            "application/json; charset=utf-8",
+            headers,
+        )
 
     def _send_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str,
-        headers: dict | None = None,
+        self, status: int, text: str, content_type: str, headers: dict
     ) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in self._response_headers(headers).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-
-    def _begin_trace(self) -> None:
-        """Parse (or mint) W3C trace identity for this request.
-
-        A valid incoming ``traceparent`` is honored: its trace id flows
-        through the request scope into every span. Malformed headers are
-        ignored per the spec — the server starts a fresh trace rather
-        than erroring. A valid ``tracestate`` is echoed untouched.
-        """
-        parsed = obs_context.parse_traceparent(self.headers.get("traceparent"))
-        if parsed is not None:
-            trace_id, parent_span_id = parsed
-        else:
-            trace_id, parent_span_id = obs_context.new_trace_id(), None
-        rid = obs_context.new_request_id("serve")
-        self._trace = {
-            "request_id": rid,
-            "trace_id": trace_id,
-            "parent_span_id": parent_span_id,
-        }
-        self._trace_headers = {
-            "X-Request-Id": rid,
-            "traceparent": obs_context.format_traceparent(
-                trace_id, obs_context.new_span_id_hex()
-            ),
-        }
-        tracestate = obs_context.parse_tracestate(
-            self.headers.get("tracestate")
-        )
-        if tracestate is not None:
-            self._trace_headers["tracestate"] = tracestate
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -225,68 +214,57 @@ class _Handler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         path = split.path.rstrip("/") or "/"
         query = parse_qs(split.query)
-        self._begin_trace()
-        try:
-            with thread_role("serve-handler"):
-                self._route(method, path, query)
-        except ServiceError as err:
-            self._send_json(err.status, err.payload)
-        except BrokenPipeError:  # client went away mid-response
-            pass
-        except Exception as err:  # never kill the handler thread
-            if obs.enabled():
-                obs.registry.counter(
-                    "serve.internal_errors_total",
-                    help="requests that hit an unexpected exception",
-                ).inc(route=path)
-            with contextlib.suppress(Exception):
-                self._send_json(
-                    500, {"error": f"internal error: {type(err).__name__}"}
-                )
+        trace = mint_trace(
+            self.headers.get("traceparent"), self.headers.get("tracestate")
+        )
+        name, match = _lookup(method, path)
+        # OSError: the client went away mid-response.
+        with thread_role("serve-handler"), contextlib.suppress(OSError):
+            if name in _OPERATOR_PLANE:
+                self._operate(name, query, trace["headers"])
+                return
+            tenant_id = self._tenant_id(query)
+            with self.service.record(trace, name or UNROUTED, tenant_id) as rec:
+                try:
+                    if name is None:
+                        raise _unrouted(method, path)
+                    status, payload, headers = self._dispatch(
+                        name, match, query, tenant_id, trace
+                    )
+                except Exception as err:  # never kill the handler thread
+                    # Made here: an unreadable body, no route, or a crash
+                    # (which, if execute had admitted the request, it
+                    # already reads as 500/error).
+                    status, payload, headers = rec.answer(*_error_response(err))
+                self._send_json(status, payload, headers)
 
-    def _route(self, method: str, path: str, query: dict) -> None:
-        for route_method, pattern, name, exempt in _ROUTES:
-            match = pattern.match(path)
-            if match is None:
-                continue
-            if route_method != method:
-                continue
-            self._dispatch(name, exempt, match, query)
-            return
-        # Path matched no route at all vs wrong method on a known
-        # path — report 405 for the latter.
-        if any(p.match(path) for _, p, _, _ in _ROUTES):
-            self._send_json(405, {"error": f"method {method} not allowed"})
-        else:
-            self._send_json(404, {"error": f"no route {path!r}"})
-
-    def _dispatch(self, name: str, exempt: bool, match, query: dict) -> None:
+    def _operate(self, name: str, query: dict, headers: dict) -> None:
+        """The operator plane: unbilled and admission-exempt, so it keeps
+        answering under overload and never touches SLO or cost state."""
         service = self.service
-        # The operator endpoints bypass tenancy and admission: they
-        # must stay live under overload and must not touch SLO state.
-        if name == "health":
-            status, payload = service.health()
-            self._send_json(status, payload)
-            return
-        if name == "metrics":
-            self._send_text(200, service.metrics_text(), _OPENMETRICS_CONTENT_TYPE)
-            return
-        if name == "debug.flight":
-            fmt = (query.get("format") or [None])[0]
-            status, payload = service.flight_payload(fmt)
-            headers = (
-                {"Content-Disposition": 'attachment; filename="flight.json"'}
-                if fmt == "chrome"
-                else None
-            )
-            self._send_json(status, payload, headers)
-            return
-        if name == "debug.pprof":
-            self._send_text(
-                200, service.pprof_text(), "text/plain; charset=utf-8"
-            )
-            return
-        tenant_id = self._tenant_id(query)
+        try:
+            if name == "metrics":
+                text = service.metrics_text()
+                self._send_text(200, text, _OPENMETRICS_CONTENT_TYPE, headers)
+            elif name == "debug.pprof":
+                text = service.pprof_text()
+                self._send_text(200, text, "text/plain; charset=utf-8", headers)
+            elif name == "health":
+                self._send_json(*service.health(), headers)
+            else:
+                fmt = (query.get("format") or [None])[0]
+                status, payload = service.flight_payload(fmt)
+                if fmt == "chrome":
+                    disposition = 'attachment; filename="flight.json"'
+                    headers = {**headers, "Content-Disposition": disposition}
+                self._send_json(status, payload, headers)
+        except Exception as err:  # never kill the handler thread
+            self._send_json(*_error_response(err), headers)
+
+    def _dispatch(
+        self, name: str, match, query: dict, tenant_id: str, trace: dict
+    ) -> tuple[int, dict, dict]:
+        service = self.service
         body = (
             self._read_body()
             if self.command in ("POST", "PUT", "PATCH")
@@ -329,14 +307,7 @@ class _Handler(BaseHTTPRequestHandler):
             "detect": lambda t: service.detect(t, hid, body),
             "localize": lambda t: service.localize(t, hid, body),
         }
-        status, payload, headers = service.execute(
-            name,
-            tenant_id,
-            thunks[name],
-            admission_exempt=exempt,
-            trace=getattr(self, "_trace", None),
-        )
-        self._send_json(status, payload, headers)
+        return service.execute(name, tenant_id, thunks[name], trace=trace)
 
     # BaseHTTPRequestHandler entry points.
     def do_GET(self) -> None:  # noqa: N802

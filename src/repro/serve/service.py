@@ -8,16 +8,22 @@ makes the full API unit-testable without ports and reusable by future
 transports (the ROADMAP's micro-batching layer will call these same
 methods).
 
-Every request runs through :meth:`DeviceScopeService.execute`:
+Every response is **one completion record**
+(:meth:`DeviceScopeService.record`):
 
-1. admission control (503 + ``Retry-After`` when shedding — shed
-   requests never reach the engine, the cache, or the SLO window);
-2. an ``obs.request(kind="serve", route=..., tenant=...)`` scope, so
-   request-scoped telemetry, the telemetry store, and quality drift
-   observation work exactly as they do under the Playground;
-3. per-tenant SLO recording (the tenant's own
-   :class:`~repro.obs.SloTracker`, on top of the global one that the
-   request scope feeds automatically).
+1. opened at the first byte — the HTTP handler's entry, or
+   :meth:`~DeviceScopeService.execute` itself when called without HTTP;
+2. filled in by :meth:`~DeviceScopeService.execute`: admission control
+   (503 + ``Retry-After`` when shedding — shed requests never reach the
+   engine or the cache), then the route's thunk inside the record's
+   request scope, so spans, events and quality drift observation work
+   exactly as they do under the Playground;
+3. closed after the last byte into an immutable
+   :class:`~repro.obs.Completion`, which
+   :meth:`~DeviceScopeService._complete` fans out to every sink — the
+   tenant's and the global :class:`~repro.obs.SloTracker` (admitted
+   requests only), the :class:`~repro.serve.tenancy.CostLedger`, the
+   request metrics, the telemetry store and the flight recorder.
 
 Inference routes through the single CamAL sweep and the tenant's
 :class:`~repro.core.ResultCache`; degraded results are returned but
@@ -26,8 +32,11 @@ never cached (the PR 4 contract, enforced by ``cache_if``).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import threading
 import time
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +59,12 @@ from .tenancy import (
     consume_work,
 )
 
-__all__ = ["ServiceError", "ModelBank", "DeviceScopeService"]
+__all__ = [
+    "ServiceError",
+    "ModelBank",
+    "DeviceScopeService",
+    "mint_trace",
+]
 
 #: Ingest batches and analysis windows are bounded per request, and the
 #: tenancy layer bounds what accumulates across requests (per-house
@@ -217,6 +231,38 @@ class DeviceScopeService:
 
     # -- the request wrapper ----------------------------------------------
 
+    @contextlib.contextmanager
+    def record(
+        self, trace: "dict | None", route: str, tenant_id: object
+    ) -> Iterator["_Record"]:
+        """Open this response's completion record, or join the open one:
+        as with ``obs.request``, the outermost opener (the HTTP handler,
+        or :meth:`execute` called without HTTP) closes it, once."""
+        active = _OPEN.get()
+        if active is not None:
+            yield active
+            return
+        rec = _Record(trace, route, _tenant_label(tenant_id))
+        token = _OPEN.set(rec)
+        try:
+            with obs_context.bind(rec.ctx):
+                yield rec
+        finally:
+            _OPEN.reset(token)
+            self._complete(rec.close(), rec.session, rec.ctx)
+
+    def _complete(self, record, session, ctx) -> None:
+        """The one fan-out: every sink reads the same completion record
+        (the tenant's SLO window, like the global one, only if admitted)."""
+        if record.admitted:
+            session.slo.record(record.duration_s, outcome=record.outcome)
+        self.costs.charge(
+            record.tenant, record.route, record.cpu_ms,
+            windows=record.windows, duration_s=record.duration_s,
+            outcome=record.outcome,
+        )
+        obs_context.complete(record, ctx.roots if ctx else ())
+
     def execute(
         self,
         route: str,
@@ -225,103 +271,44 @@ class DeviceScopeService:
         admission_exempt: bool = False,
         trace: "dict | None" = None,
     ) -> tuple[int, dict, dict]:
-        """Run one request end to end.
+        """Run one request through admission and its thunk.
 
-        Returns ``(status, payload, headers)``. ``admission_exempt``
-        marks the routes that must keep answering under overload
-        (``/health``, ``/metrics`` — an unscrapeable melting server is
-        undebuggable). ``trace`` carries transport-negotiated identity
-        (``request_id`` / ``trace_id`` / ``parent_span_id``, all
-        optional) so a client-supplied ``traceparent`` threads into the
-        request scope and every span under it.
-
-        Every return path — including bad tenant id, registry-full, and
-        admission shed, which never open a work scope — carries
-        ``X-Request-Id`` + ``traceparent`` headers and is billed to
-        ``obs.requests_total`` / the flight recorder / the cost ledger,
-        so no response the service produces is untraceable.
+        Returns ``(status, payload, headers)``, the headers carrying
+        ``X-Request-Id`` + ``traceparent``. ``admission_exempt`` marks
+        routes that must keep answering under overload. ``trace`` is
+        the request's :func:`mint_trace` identity. Every return path
+        writes its status and outcome into the request's completion
+        record (:meth:`record`), so each response is billed once.
         """
-        trace = trace or {}
-        rid = trace.get("request_id") or obs_context.new_request_id("serve")
-        trace_id = trace.get("trace_id") or obs_context.new_trace_id()
-        parent_span_id = trace.get("parent_span_id")
-        span_hex = obs_context.new_span_id_hex()
-        headers = {
-            "X-Request-Id": rid,
-            "traceparent": obs_context.format_traceparent(trace_id, span_hex),
-        }
-
-        def rejected(outcome: str, reason: str, cost_tenant: str) -> None:
-            obs.record_rejected(
-                kind="serve",
-                outcome=outcome,
-                request_id=rid,
-                trace_id=trace_id,
-                route=route,
-                tenant=cost_tenant,
-                reason=reason,
-            )
-            self.costs.charge(
-                cost_tenant, route, cpu_ms=0.0, outcome=outcome
-            )
-
-        try:
-            TenantRegistry.validate_tenant_id(tenant_id)
-        except ValueError as err:
-            # The raw id is unvalidated bytes — never a metrics label.
-            rejected("client_error", "bad_tenant_id", "invalid")
-            return 400, {"error": str(err)}, dict(headers)
-        try:
-            tenant = self.registry.get_or_create(tenant_id)
-        except OverflowError as err:
-            # Registry exhaustion is overload, not caller error.
-            rejected("shed", "registry_full", tenant_id)
-            return (
-                503,
-                {"error": str(err)},
-                {"Retry-After": "1", **headers},
-            )
-        if not admission_exempt:
-            decision = self.admission.decide(
-                tenant=tenant,
-                cost_share=self.costs.recent_share(tenant_id),
-            )
-            if not decision.accepted:
-                rejected("shed", decision.reason, tenant_id)
-                return (
-                    503,
-                    {
+        with self.record(trace, route, tenant_id) as rec:
+            try:
+                tenant = self.registry.get_or_create(tenant_id)
+            except ValueError as err:
+                return rec.answer(400, {"error": str(err)}, reason="bad_tenant_id")
+            except OverflowError as err:
+                # Registry exhaustion is overload, not caller error.
+                payload = {"error": str(err)}
+                return rec.answer(503, payload, "shed", "registry_full", "1")
+            if not admission_exempt:
+                decision = self.admission.decide(
+                    tenant=tenant,
+                    cost_share=self.costs.recent_share(tenant_id),
+                )
+                if not decision.accepted:
+                    payload = {
                         "error": "overloaded; request shed",
                         "reason": decision.reason,
                         "retry_after_s": decision.retry_after_s,
-                    },
-                    {
-                        "Retry-After": f"{decision.retry_after_s:g}",
-                        **headers,
-                    },
-                )
-        start = time.perf_counter()
-        cpu0 = time.thread_time()
-        consume_work()  # drop any stale accumulator state on this thread
-        # Pessimistic default: an exception type we did not anticipate
-        # propagates to the HTTP layer's 500 handler, and the finally
-        # must bill it as an error — never as "ok" — so the tenant
-        # tracker and the global one (obs.request's exception path)
-        # always agree.
-        outcome = "error"
-        try:
-            with obs.request(
-                kind="serve",
-                request_id=rid,
-                trace_id=trace_id,
-                parent_span_id=parent_span_id,
-                route=route,
-                tenant=tenant_id,
-            ) as req:
-                if getattr(req, "request_id", None) == rid:
-                    # We own the scope (not joined, not the no-op):
-                    # align its span id with the traceparent we return.
-                    req.span_id_hex = span_hex
+                    }
+                    return rec.answer(
+                        503, payload, "shed", decision.reason,
+                        f"{decision.retry_after_s:g}",
+                    )
+            # Admitted. Until the thunk answers the record reads
+            # 500/error: an exception type we did not anticipate reaches
+            # the HTTP layer's 500 handler billed as an error, never ok.
+            rec.session = tenant
+            try:
                 with obs.span(f"serve.{route}", route=route, tenant=tenant_id):
                     try:
                         status, payload = thunk(tenant)
@@ -329,46 +316,19 @@ class DeviceScopeService:
                         if err.status >= 500:
                             raise
                         # Handled 4xx: the caller's fault, answered
-                        # correctly. Billed as client_error — which
-                        # spends no error budget (obs.GOOD_OUTCOMES) —
-                        # in *both* the global tracker (via the request
-                        # scope) and the tenant tracker (the finally),
-                        # so a client replaying bad requests cannot trip
-                        # admission control for everyone.
-                        outcome = "client_error"
-                        req.set_outcome(outcome)
-                        return err.status, err.payload, dict(headers)
+                        # correctly. client_error spends no error budget
+                        # (obs.GOOD_OUTCOMES), so a client replaying bad
+                        # requests cannot trip admission for everyone.
+                        return rec.answer(err.status, err.payload)
                     except (
                         RobustError, ValueError, KeyError, OverflowError
                     ) as err:
-                        outcome = "client_error"
-                        req.set_outcome(outcome)
-                        return 400, {"error": str(err)}, dict(headers)
-                    if payload.get("verdict") in ("degraded", "failed"):
-                        req.mark_degraded()
-                    outcome = req.outcome
-            return status, payload, dict(headers)
-        except ServiceError as err:
-            # 5xx ServiceErrors are genuine service failures.
-            return err.status, err.payload, dict(headers)
-        finally:
-            elapsed = time.perf_counter() - start
-            tenant.slo.record(elapsed, outcome=outcome)
-            share_ms, inline_ms, windows = consume_work()
-            # Attributed CPU: what this thread burned, minus shared work
-            # it executed on others' behalf (the batch leader's stacked
-            # sweep), plus this request's fair share of shared work.
-            cpu_ms = (
-                (time.thread_time() - cpu0) * 1e3 - inline_ms + share_ms
-            )
-            self.costs.charge(
-                tenant_id,
-                route,
-                cpu_ms,
-                windows=windows,
-                duration_s=elapsed,
-                outcome=outcome,
-            )
+                        return rec.answer(400, {"error": str(err)})
+            except ServiceError as err:
+                # 5xx ServiceErrors are genuine service failures.
+                return rec.answer(err.status, err.payload)
+            degraded = payload.get("verdict") in ("degraded", "failed")
+            return rec.answer(status, payload, "degraded" if degraded else "ok")
 
     # -- houses ------------------------------------------------------------
 
@@ -820,6 +780,102 @@ class DeviceScopeService:
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+#: The completion record open in this context (see
+#: :meth:`DeviceScopeService.record`).
+_OPEN: contextvars.ContextVar["_Record | None"] = contextvars.ContextVar(
+    "repro_serve_record", default=None
+)
+
+
+def mint_trace(traceparent: object = None, tracestate: object = None) -> dict:
+    """A request's trace identity, minted once for the whole request.
+
+    A valid incoming ``traceparent`` is honored (its trace id reaches
+    every span); a malformed one is ignored per the W3C spec and a
+    fresh trace starts. ``headers`` go on every answer to the request,
+    with a valid ``tracestate`` echoed untouched.
+    """
+    parsed = obs_context.parse_traceparent(traceparent)
+    trace_id, parent_span_id = parsed or (obs_context.new_trace_id(), None)
+    request_id = obs_context.new_request_id("serve")
+    span_id_hex = obs_context.new_span_id_hex()
+    headers = {
+        "X-Request-Id": request_id,
+        "traceparent": obs_context.format_traceparent(trace_id, span_id_hex),
+    }
+    state = obs_context.parse_tracestate(tracestate)
+    if state is not None:
+        headers["tracestate"] = state
+    return {
+        "request_id": request_id,
+        "trace_id": trace_id,
+        "parent_span_id": parent_span_id,
+        "span_id_hex": span_id_hex,
+        "headers": headers,
+    }
+
+
+def _tenant_label(tenant_id: object) -> str:
+    """The tenant a response is billed to: the id if it is valid, else
+    ``invalid`` — a raw id is unvalidated bytes, never a metrics label."""
+    try:
+        return TenantRegistry.validate_tenant_id(tenant_id)
+    except ValueError:
+        return "invalid"
+
+
+class _Record:
+    """A response's completion record while it is open: duration and
+    CPU run from here to :meth:`close`; ``answer`` sets the status and
+    outcome (500/``error`` until then), and ``execute`` sets ``session``
+    once the request is admitted."""
+
+    def __init__(self, trace: "dict | None", route: str, tenant: str):
+        self.trace = trace or mint_trace()
+        self.headers = self.trace["headers"]
+        self.route, self.tenant = route, tenant
+        self.status, self.outcome, self.reason = 500, "error", ""
+        self.session: TenantSession | None = None
+        self.ctx = obs_context.RequestContext(
+            request_id=self.trace["request_id"],
+            kind="serve",
+            trace_id=self.trace["trace_id"],
+            parent_span_id=self.trace["parent_span_id"],
+            span_id_hex=self.trace["span_id_hex"],
+        ) if obs.enabled() else None
+        consume_work()  # drop any stale accumulator state on this thread
+        self._start = time.perf_counter()
+        self._cpu0 = time.thread_time()
+
+    def answer(self, status, payload, outcome=None, reason="", retry_after=None):
+        """Set the response's status and outcome (by default
+        ``client_error`` for a 4xx, ``error`` for a 5xx); returns
+        ``(status, payload, headers)`` for it."""
+        outcome = outcome or ("client_error" if status < 500 else "error")
+        self.status, self.outcome, self.reason = int(status), outcome, reason
+        headers = dict(self.headers)
+        if retry_after is not None:
+            headers["Retry-After"] = retry_after
+        return self.status, payload, headers
+
+    def close(self) -> obs_context.Completion:
+        duration_s = time.perf_counter() - self._start
+        share_ms, inline_ms, windows = consume_work()
+        admitted = self.session is not None
+        # Attributed CPU: what this thread burned, minus shared work it
+        # executed on others' behalf (the batch leader's stacked sweep),
+        # plus this request's fair share of shared work. A refusal is
+        # billed none, so being shed never raises a tenant's cost share.
+        cpu_ms = (time.thread_time() - self._cpu0) * 1e3 - inline_ms + share_ms
+        return obs_context.Completion(
+            self.trace["request_id"], self.trace["trace_id"], "serve",
+            self.outcome, duration_s, route=self.route, tenant=self.tenant,
+            status=self.status, cpu_ms=cpu_ms if admitted else 0.0,
+            windows=windows if admitted else 0, reason=self.reason,
+            admitted=admitted,
+        )
 
 
 #: Element types a decoded JSON watts array may hold (``bool`` is not one).

@@ -1,31 +1,26 @@
 """Flight recorder: tail-based retention, bounds, and teardown.
 
-The acceptance contract (mirrored by ``benchmarks/flight_smoke.py``
-over a live server): under a mixed load the recorder retains 100% of
-error/degraded/shed traces plus the slowest decile, stays inside its
+The acceptance contract: under a mixed load the recorder retains 100%
+of error/degraded/shed traces plus the slowest decile, stays inside its
 entry and byte bounds, and tears down completely on ``obs.reset()``.
+``tests/serve/test_completion.py`` checks the served 500 and 503 traces
+over a live server.
 """
 
 import numpy as np
 
 from repro import obs
+from repro.obs import Completion
 from repro.obs.flight import KEEP_OUTCOMES, FlightRecorder
 
 
-class _Ctx:
-    """A minimal stand-in for RequestContext (the recorder only reads)."""
-
-    def __init__(self, request_id, outcome="ok", kind="serve", trace_id="t" * 32):
-        self.request_id = request_id
-        self.outcome = outcome
-        self.kind = kind
-        self.trace_id = trace_id
-        self.tags = {}
-        self.roots = []
-
-
-def _finish(rec, rid, outcome="ok", duration_s=0.001):
-    rec.finish_request(_Ctx(rid, outcome=outcome), duration_s)
+def _finish(rec, rid, outcome="ok", duration_s=0.001, admitted=True, **fields):
+    rec.finish_request(
+        Completion(
+            rid, "t" * 32, "serve", outcome, duration_s,
+            admitted=admitted, **fields,
+        )
+    )
 
 
 def test_keep_outcomes_always_retained():
@@ -97,14 +92,10 @@ def test_byte_bound_holds_and_oldest_errors_go_last():
 
 def test_record_rejected_keeps_sheds_without_spans():
     rec = FlightRecorder(sample_rate=0.0)
-    rec.record_rejected(
-        request_id="serve-x", trace_id="a" * 32, kind="serve",
-        outcome="shed", duration_s=0.0, tags={"reason": "slo_burn"},
-    )
-    rec.record_rejected(
-        request_id="serve-y", trace_id="b" * 32, kind="serve",
-        outcome="client_error", duration_s=0.0, tags={},
-    )
+    _finish(rec, "serve-x", outcome="shed", duration_s=0.0, admitted=False,
+            reason="slo_burn")
+    _finish(rec, "serve-y", outcome="client_error", duration_s=0.0,
+            admitted=False)
     entries = rec.entries()
     assert [e["request_id"] for e in entries] == ["serve-x"]
     assert entries[0]["spans"] == []
@@ -117,10 +108,7 @@ def test_shed_does_not_pull_the_slow_floor_to_zero():
     rec = FlightRecorder(sample_rate=0.0)
     for i in range(40):
         _finish(rec, f"a{i}", duration_s=0.01)
-    rec.record_rejected(
-        request_id="shed-1", trace_id="c" * 32, kind="serve",
-        outcome="shed", duration_s=0.0, tags={},
-    )
+    _finish(rec, "shed-1", outcome="shed", duration_s=0.0, admitted=False)
     for i in range(40):
         _finish(rec, f"b{i}", duration_s=0.01)
     assert rec.stats()["by_reason"] == {"shed": 1}
