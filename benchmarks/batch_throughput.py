@@ -17,13 +17,22 @@ directly (no sockets — the HTTP layer is benched separately by
   (default 16-row batches, 8 ms window).
 * **lone** — single-threaded sequential requests against the *batched*
   service: what one isolated client pays (leader-alone timeout + solo
-  sweep). This is the honest "single-request p95" yardstick for the
-  deployed configuration.
+  sweep). Its next request comes back within the window of its last
+  sweep's end, so the batcher cannot tell it from a closed-loop
+  population and it still waits the window out; only a client idle for
+  a whole window sweeps at once. This is the honest "single-request
+  p95" yardstick for the deployed configuration.
 
 Hardware normalization: the headline metrics are *ratios measured on
 the same machine in the same process* — ``speedup_wps`` (batched vs
 serial windows/sec) and ``p95_over_single`` (loaded p95 vs lone p95) —
 so the gate is machine-free by construction.
+
+Noise: one process runs all three arms ``REPEATS`` (3) times and the
+gate reads the median of each ratio over the repeats. A single run's
+loaded p95 moves by 2x between runs on a 2-core host and its lone p95
+is the second-largest of 30 samples, so one slow episode could fail a
+single-run gate. ``--out`` records every repeat.
 
 Run from the repo root::
 
@@ -46,6 +55,9 @@ import numpy as np
 DEFAULT_OUT = (
     Path(__file__).resolve().parent / "results" / "BENCH_batch_throughput.json"
 )
+
+#: Full three-arm runs per process; the gate reads their median.
+REPEATS = 3
 
 
 def _synthetic_watts(n: int, seed: int) -> np.ndarray:
@@ -167,24 +179,13 @@ def _drive_lone(service, requests: int, samples: int) -> dict:
     }
 
 
-def run_bench(args) -> dict:
+def _run_arms(bank, args) -> dict:
+    """One repeat: the serial, batched and lone arms on fresh services."""
     from repro.serve import (
         AdmissionController,
         DeviceScopeService,
         MicroBatcher,
-        ModelBank,
         TenantRegistry,
-    )
-
-    # One read-only bank shared by every arm (identical weights, one
-    # sweep lock); a small ensemble so the fixed per-sweep cost the
-    # batcher amortizes — not raw GEMM width — dominates, matching the
-    # short-window interactive requests batching exists for.
-    bank = ModelBank(
-        appliances=("kettle",),
-        seed=args.seed,
-        kernel_sizes=tuple(args.kernel_sizes),
-        n_filters=tuple(args.filters),
     )
 
     def make_service(batcher: MicroBatcher) -> DeviceScopeService:
@@ -208,9 +209,33 @@ def run_bench(args) -> dict:
     batched["batcher"] = batched_service.batcher.stats()
 
     lone = _drive_lone(batched_service, args.lone_requests, args.samples)
+    return {
+        "serial": serial,
+        "batched": batched,
+        "lone": lone,
+        "speedup_wps": round(batched["wps"] / serial["wps"], 3),
+        "p95_over_single": round(batched["p95_ms"] / lone["p95_ms"], 3),
+    }
 
-    speedup = batched["wps"] / serial["wps"]
-    p95_ratio = batched["p95_ms"] / lone["p95_ms"]
+
+def run_bench(args) -> dict:
+    from repro.serve import ModelBank
+
+    # One read-only bank shared by every arm (identical weights, one
+    # sweep lock); a small ensemble so the fixed per-sweep cost the
+    # batcher amortizes — not raw GEMM width — dominates, matching the
+    # short-window interactive requests batching exists for.
+    bank = ModelBank(
+        appliances=("kettle",),
+        seed=args.seed,
+        kernel_sizes=tuple(args.kernel_sizes),
+        n_filters=tuple(args.filters),
+    )
+    repeats = [_run_arms(bank, args) for _ in range(REPEATS)]
+
+    def median(pick) -> float:
+        return round(float(np.median([pick(r) for r in repeats])), 3)
+
     return {
         "bench": "batch_throughput",
         "config": {
@@ -224,11 +249,13 @@ def run_bench(args) -> dict:
             "seed": args.seed,
             "appliance": "kettle",
         },
-        "serial": serial,
-        "batched": batched,
-        "lone": lone,
-        "speedup_wps": round(speedup, 3),
-        "p95_over_single": round(p95_ratio, 3),
+        "repeats": repeats,
+        # The gated ratios: medians over the repeats.
+        "speedup_wps": median(lambda r: r["speedup_wps"]),
+        "p95_over_single": median(lambda r: r["p95_over_single"]),
+        "avg_batch_size": median(
+            lambda r: r["batched"]["batcher"]["avg_batch_size"]
+        ),
     }
 
 
@@ -247,8 +274,11 @@ def gate(args, result: dict) -> int:
         )
         if not ok:
             failures.append(name)
-    avg = result["batched"]["batcher"]["avg_batch_size"]
-    print(f"(avg batch size {avg:.2f} of max {result['config']['batch_max']})")
+    avg = result["avg_batch_size"]
+    print(
+        f"(medians of {REPEATS} repeats; avg batch size {avg:.2f} of max "
+        f"{result['config']['batch_max']})"
+    )
     if failures:
         print(f"FAIL: micro-batching gate failed on: {', '.join(failures)}")
         return 1

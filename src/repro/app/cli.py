@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms", type=float, default=None,
         help="micro-batcher coalescing window in ms — concurrent "
         "detect/localize requests arriving within it share one "
-        "ensemble sweep (0 disables batching; default 4.0)",
+        "ensemble sweep; a request on an appliance idle for a whole "
+        "window sweeps at once (0 disables batching; default 4.0)",
     )
     serve.add_argument(
         "--batch-max", type=int, default=None,

@@ -7,12 +7,13 @@ serialized, each paying the full fixed cost of an ensemble sweep.
 
 :class:`MicroBatcher` coalesces concurrent requests instead. Requests
 are grouped per ``(appliance, model fingerprint, window length)``; the
-first arrival becomes the batch **leader** and waits a bounded window
-(``batch_window_ms``) for followers, or until ``batch_max`` rows are
-queued, whichever comes first. The leader then stacks the windows into
-one ``(B, L)`` array, runs a *single* ``localize_watts`` sweep under the
-sweep lock, and scatters per-row results back to the waiting handler
-threads via :meth:`~repro.core.CamALResult.split`.
+first arrival becomes the batch **leader** and — unless its appliance
+is idle (below) — waits a bounded window (``batch_window_ms``) for
+followers, or until ``batch_max`` rows are queued, whichever comes
+first. The leader then stacks the windows into one ``(B, L)`` array,
+runs a *single* ``localize_watts`` sweep under the sweep lock, and
+scatters per-row results back to the waiting handler threads via
+:meth:`~repro.core.CamALResult.split`.
 
 Correctness rests on the engine's batch-invariance contract
 (DESIGN.md §12): a sweep over B stacked windows is **bit-identical** to
@@ -22,9 +23,21 @@ callers cannot tell whether they were batched, and per-row cache rules
 
 Fallback semantics: requests that cannot batch simply run as today's
 batch-of-one sweep — a window whose length matches no concurrent
-request forms its own group and times out alone; a disabled batcher
-(``batch_max <= 1`` or ``batch_window_ms <= 0``) short-circuits to the
-direct path. Both are counted under ``serve.batch.fallback_total``.
+request forms its own group and times out alone, an idle leader sweeps
+at once without waiting, and a disabled batcher (``batch_max <= 1`` or
+``batch_window_ms <= 0``) short-circuits to the direct path. Each
+one-window sweep is counted under ``serve.batch.fallback_total``.
+
+Arrival awareness: the leader only waits when a follower can come. The
+batcher stamps each appliance with its latest activity — the later of
+its last arrival and its last sweep end. A new leader on an appliance
+that has been seen before but has had no activity for a whole window
+sweeps at once (counted as ``idle_leaders``): nobody is queued behind
+it, and nobody was just answered who could come back. A never-seen
+appliance still waits, and a closed-loop population keeps coalescing,
+because its callers return within a window of their sweep's end. The
+stamps are keyed by appliance alone, so their number is bounded by the
+model bank, never by client-chosen window lengths.
 """
 
 from __future__ import annotations
@@ -99,12 +112,15 @@ class MicroBatcher:
         self._window_s = self.batch_window_ms / 1e3
         self._lock = threading.Lock()
         self._forming: dict[tuple, _Batch] = {}
+        # appliance -> monotonic time of its latest arrival or sweep end.
+        self._activity: dict[str, float] = {}
         # Lifetime stats (under _lock); mirrored to obs when enabled.
         self._batches = 0
         self._windows = 0
         self._coalesced = 0
         self._fallback = 0
         self._max_size = 0
+        self._idle_leaders = 0
 
     @property
     def enabled(self) -> bool:
@@ -138,11 +154,19 @@ class MicroBatcher:
         key = (appliance, model.fingerprint(), int(window.shape[0]))
         pending = _Pending(window)
         with self._lock:
+            now = time.monotonic()
+            last = self._activity.get(appliance)
+            self._activity[appliance] = now
             batch = self._forming.get(key)
             if batch is None:
                 batch = _Batch(pending)
                 self._forming[key] = batch
                 leader = True
+                if last is not None and now - last >= self._window_s:
+                    # Idle appliance: no follower can come, so don't
+                    # wait for one.
+                    self._idle_leaders += 1
+                    batch.full.set()
             else:
                 leader = False
                 batch.rows.append(pending)
@@ -167,6 +191,8 @@ class MicroBatcher:
     # -- internals ---------------------------------------------------------
 
     def _lead(self, key, batch, pending, appliance, model, sweep_lock):
+        # Wakes on fill, at once for an idle leader (full preset), or
+        # when the window runs out.
         batch.full.wait(timeout=self._window_s)
         with self._lock:
             batch.closed = True
@@ -198,6 +224,11 @@ class MicroBatcher:
                 p.error = exc
             raise
         finally:
+            # Stamp the sweep end before waking the followers: a caller
+            # that was just answered and comes straight back must find
+            # the appliance active, or it would lead a batch alone.
+            with self._lock:
+                self._activity[appliance] = time.monotonic()
             batch.done.set()
             self._account(len(rows), fallback=len(rows) == 1)
         return pending.result
@@ -229,7 +260,7 @@ class MicroBatcher:
             registry.counter(
                 "serve.batch.fallback_total",
                 help="sweeps that ran a single window (timeout alone, "
-                "unmatched length, or batching disabled)",
+                "idle appliance, unmatched length, or batching disabled)",
             ).inc()
         registry.gauge(
             "serve.batch.occupancy",
@@ -237,11 +268,16 @@ class MicroBatcher:
         ).set(size / max(self.batch_max, 1))
 
     def stats(self) -> dict:
-        """Plain-dict snapshot for ``/health`` and the obs dashboard."""
+        """Plain-dict snapshot for ``/health`` and the obs dashboard.
+
+        ``idle_leaders`` (leaders that swept at once on an idle
+        appliance) is present only when batching is enabled: a disabled
+        batcher has no leaders.
+        """
         with self._lock:
             batches = self._batches
             windows = self._windows
-            return {
+            snapshot = {
                 "enabled": self.enabled,
                 "batch_window_ms": self.batch_window_ms,
                 "batch_max": self.batch_max,
@@ -255,3 +291,6 @@ class MicroBatcher:
                     windows / (batches * self.batch_max) if batches else 0.0
                 ),
             }
+            if self.enabled:
+                snapshot["idle_leaders"] = self._idle_leaders
+            return snapshot

@@ -228,6 +228,7 @@ class DeviceScopeService:
         """Release held resources; the server calls this on shutdown."""
         self.profiler.stop()
         self.bank.close()
+        self.registry.close()
 
     # -- the request wrapper ----------------------------------------------
 

@@ -304,6 +304,12 @@ class TenantRegistry:
     def tenants(self) -> list[TenantSession]:
         return list(self._sessions.values())
 
+    def close(self) -> None:
+        """Leave process health: a closed server's tenant SLO windows
+        stop feeding :func:`tenant_trackers` at once, not whenever the
+        cyclic garbage collector frees the registry."""
+        _REGISTRIES.discard(self)
+
     def __len__(self) -> int:
         return len(self._sessions)
 

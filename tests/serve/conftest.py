@@ -16,6 +16,7 @@ from repro.serve import (
     ModelBank,
     TenantRegistry,
 )
+from repro.serve.tenancy import consume_work
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +30,9 @@ def clean_global_state():
     obs.set_store(None)
     obs.reset()
     obs.registry.clear()
+    # Direct batcher calls outside a request bill this thread's work
+    # accumulator; drain it so no later test inherits the bill.
+    consume_work()
 
 
 @pytest.fixture(scope="session")

@@ -424,3 +424,108 @@ def test_degraded_row_not_cached_but_clean_rows_are(bank):
         ),
     )
     assert payload["cached"] is False
+
+
+# -- arrival awareness ---------------------------------------------------
+
+
+class _SlowModel:
+    """The real model behind a sweep that outlasts the batch window."""
+
+    def __init__(self, model, delay_s: float):
+        self._model = model
+        self._delay_s = delay_s
+
+    def fingerprint(self):
+        return self._model.fingerprint()
+
+    def localize_watts(self, watts, appliance=None):
+        time.sleep(self._delay_s)
+        return self._model.localize_watts(watts, appliance=appliance)
+
+
+def test_sequential_caller_after_idle_gap_sweeps_at_once(kettle_model):
+    model, lock = kettle_model
+    batcher = MicroBatcher(batch_window_ms=5.0, batch_max=8)
+    batcher.localize("kettle", model, lock, _watts(64, seed=1))
+    # A never-seen appliance still waits out its window.
+    assert batcher.stats()["idle_leaders"] == 0
+    time.sleep(0.02)  # idle for longer than the 5 ms window
+    result = batcher.localize("kettle", model, lock, _watts(64, seed=2))
+    stats = batcher.stats()
+    assert stats["idle_leaders"] == 1
+    assert stats["batches"] == 2 and stats["fallback"] == 2
+    solo = model.localize_watts(_watts(64, seed=2)[None, :])
+    np.testing.assert_array_equal(result.probabilities, solo.probabilities)
+
+
+def test_burst_after_idle_lone_sweep_still_coalesces(kettle_model):
+    model, lock = kettle_model
+    batcher = MicroBatcher(batch_window_ms=200.0, batch_max=8)
+    batcher.localize("kettle", model, lock, _watts(64, seed=20))
+    time.sleep(0.3)  # idle for longer than the window
+    windows = [_watts(64, seed=i) for i in range(4)]
+    results, errors = _concurrent_localize(batcher, model, lock, windows)
+    assert errors == [None] * 4
+    stats = batcher.stats()
+    # Only the burst's first arrival finds the appliance idle; its
+    # arrival makes the appliance active, so the rest wait and share.
+    assert stats["idle_leaders"] == 1
+    assert stats["batches"] - 1 <= 2
+    assert stats["max_batch_size"] > 1
+    for window, result in zip(windows, results):
+        solo = model.localize_watts(window[None, :])
+        np.testing.assert_array_equal(
+            result.probabilities, solo.probabilities
+        )
+        np.testing.assert_array_equal(result.status, solo.status)
+        np.testing.assert_array_equal(result.cam, solo.cam)
+
+
+def test_closed_loop_keeps_coalescing_across_long_sweeps(kettle_model):
+    """Sweep ends count as activity: callers answered by a sweep longer
+    than the window come straight back and still find company."""
+    model, lock = kettle_model
+    slow = _SlowModel(model, delay_s=0.15)
+    batcher = MicroBatcher(batch_window_ms=50.0, batch_max=4)
+    rounds = 3
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=10)
+            for r in range(rounds):
+                batcher.localize("kettle", slow, lock, _watts(64, 10 * i + r))
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    stats = batcher.stats()
+    assert stats["windows"] == 4 * rounds
+    assert stats["idle_leaders"] == 0
+    assert stats["avg_batch_size"] > 1.0
+
+
+def test_activity_is_bounded_by_appliances_not_lengths(kettle_model):
+    model, lock = kettle_model
+    batcher = MicroBatcher(batch_window_ms=0.5, batch_max=8)
+    for length in range(48, 98):
+        batcher.localize("kettle", model, lock, _watts(length, seed=length))
+    assert batcher.stats()["windows"] == 50
+    assert list(batcher._activity) == ["kettle"]
+    assert batcher._forming == {}
+
+
+def test_disabled_batcher_records_no_activity(kettle_model):
+    model, lock = kettle_model
+    batcher = MicroBatcher(batch_max=1)
+    for seed in range(3):
+        batcher.localize("kettle", model, lock, _watts(64, seed=seed))
+    assert batcher._activity == {}
+    assert "idle_leaders" not in batcher.stats()

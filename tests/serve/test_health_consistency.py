@@ -14,6 +14,8 @@ from repro.serve import (
     AdmissionController,
     DeviceScopeService,
     TenantRegistry,
+    build_server,
+    tenant_trackers,
 )
 
 
@@ -36,6 +38,19 @@ class TestProcessStatus:
         assert process_status() == "critical"
         registry.drop("burning")
         assert process_status() == "ok"
+
+    def test_closed_server_leaves_process_health(self, bank):
+        """Closing a server unregisters its tenants at once — without a
+        garbage-collector pass, and while the server is still held."""
+        server = build_server(bank=bank, service=DeviceScopeService(
+            bank=bank,
+            registry=TenantRegistry(),
+            admission=AdmissionController(min_requests=10_000),
+        ))
+        with server.running():
+            burn(server.service.registry.get_or_create("closed-burner").slo)
+            assert "closed-burner" in dict(tenant_trackers())
+        assert "closed-burner" not in dict(tenant_trackers())
 
     def test_cli_and_serve_health_agree_under_tenant_burn(self, bank):
         service = DeviceScopeService(
