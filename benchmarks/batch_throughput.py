@@ -6,8 +6,8 @@ PR 7 path's aggregate windows/sec, because their sweeps coalesce into
 stacked ``(B, L)`` ensemble passes.
 
 Three arms, all driving :class:`~repro.serve.DeviceScopeService`
-directly (no sockets — the HTTP layer is benched separately by
-``serve_throughput.py``; this bench isolates the sweep engine):
+directly (no sockets — the served HTTP stack is measured end to end by
+``servebench/``; this bench isolates the sweep engine):
 
 * **serial** — batching disabled (``batch_max=1``), which short-circuits
   to exactly the PR 7 code path: one ``localize_watts(window[None])``
@@ -44,7 +44,6 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
@@ -52,20 +51,12 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_OUT = (
-    Path(__file__).resolve().parent / "results" / "BENCH_batch_throughput.json"
-)
+from common import RESULTS, persist_then_decide, synthetic_watts
+
+DEFAULT_OUT = RESULTS / "BENCH_batch_throughput.json"
 
 #: Full three-arm runs per process; the gate reads their median.
 REPEATS = 3
-
-
-def _synthetic_watts(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    watts = rng.uniform(80, 240, size=n) + 40.0
-    for start in range(20, n - 16, 61):  # periodic kettle-ish spikes
-        watts[start : start + 8] = 2600.0
-    return np.round(watts, 2)
 
 
 class _Client:
@@ -85,26 +76,19 @@ class _Client:
             "house_id": "home",
             # One fresh start offset per request keeps every window
             # cache-cold; distinct seeds keep clients' windows distinct.
-            "watts": _synthetic_watts(
+            "watts": synthetic_watts(
                 self.samples + self.requests + 4, seed=300 + self.index
             ).tolist(),
         }
-        status, _, _ = self.service.execute(
-            "houses.create",
-            self.tenant,
-            lambda t: self.service.create_house(t, body),
-        )
-        if status != 201:
-            raise RuntimeError(f"{self.tenant}: create -> {status}")
-        status, _, _ = self.service.execute(
-            "devices.attach",
-            self.tenant,
-            lambda t: self.service.attach_device(
+        for route, call in (
+            ("houses.create", lambda t: self.service.create_house(t, body)),
+            ("devices.attach", lambda t: self.service.attach_device(
                 t, "home", {"appliance": "kettle"}
-            ),
-        )
-        if status != 201:
-            raise RuntimeError(f"{self.tenant}: attach -> {status}")
+            )),
+        ):
+            status, _, _ = self.service.execute(route, self.tenant, call)
+            if status != 201:
+                raise RuntimeError(f"{self.tenant}: {route} -> {status}")
 
     def run(self, barrier: threading.Barrier | None = None) -> None:
         try:
@@ -151,16 +135,11 @@ def _drive(service, clients: int, requests: int, samples: int) -> dict:
     for t in threads:
         t.join()
     wall = time.perf_counter() - wall_start
-    errors = [e for u in users for e in u.errors]
-    if errors:
-        raise RuntimeError("bench requests failed: " + "; ".join(errors[:5]))
-    latencies = np.asarray([l for u in users for l in u.latencies])
+    summary = _latency_summary(users)
     return {
-        "windows": int(latencies.size),
+        **summary,
         "wall_s": round(wall, 4),
-        "wps": round(latencies.size / wall, 3),
-        "p50_ms": round(float(np.percentile(latencies, 50)) * 1e3, 3),
-        "p95_ms": round(float(np.percentile(latencies, 95)) * 1e3, 3),
+        "wps": round(summary["windows"] / wall, 3),
     }
 
 
@@ -169,9 +148,14 @@ def _drive_lone(service, requests: int, samples: int) -> dict:
     user = _Client(service, 500, requests, samples)
     user.setup()
     user.run()
-    if user.errors:
-        raise RuntimeError("lone requests failed: " + user.errors[0])
-    latencies = np.asarray(user.latencies)
+    return _latency_summary([user])
+
+
+def _latency_summary(users) -> dict:
+    errors = [e for u in users for e in u.errors]
+    if errors:
+        raise RuntimeError("bench requests failed: " + "; ".join(errors[:5]))
+    latencies = np.asarray([l for u in users for l in u.latencies])
     return {
         "windows": int(latencies.size),
         "p50_ms": round(float(np.percentile(latencies, 50)) * 1e3, 3),
@@ -259,33 +243,6 @@ def run_bench(args) -> dict:
     }
 
 
-def gate(args, result: dict) -> int:
-    checks = [
-        ("speedup_wps", result["speedup_wps"], args.min_speedup, ">="),
-        ("p95_over_single", result["p95_over_single"], args.max_p95_ratio, "<="),
-    ]
-    failures = []
-    print(f"{'metric':<18} {'measured':>10} {'limit':>10}  verdict")
-    for name, measured, limit, op in checks:
-        ok = measured >= limit if op == ">=" else measured <= limit
-        print(
-            f"{name:<18} {measured:>10.3f} {limit:>10.3f}  "
-            f"{'ok' if ok else 'REGRESSED'}"
-        )
-        if not ok:
-            failures.append(name)
-    avg = result["avg_batch_size"]
-    print(
-        f"(medians of {REPEATS} repeats; avg batch size {avg:.2f} of max "
-        f"{result['config']['batch_max']})"
-    )
-    if failures:
-        print(f"FAIL: micro-batching gate failed on: {', '.join(failures)}")
-        return 1
-    print("OK: micro-batching meets the throughput/latency gate")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=16,
@@ -318,12 +275,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run_bench(args)
-    print(json.dumps(result, indent=2))
-    # Persist first: the result is the evidence whichever way the gate goes.
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return gate(args, result) if args.gate else 0
+    checks = [
+        ("speedup_wps", result["speedup_wps"], args.min_speedup, ">="),
+        ("p95_over_single", result["p95_over_single"], args.max_p95_ratio, "<="),
+    ]
+    return persist_then_decide(
+        result,
+        args.out,
+        checks if args.gate else None,
+        subject="micro-batching",
+        note=(
+            f"(medians of {REPEATS} repeats; avg batch size "
+            f"{result['avg_batch_size']:.2f} of max {args.batch_max})"
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -35,36 +35,15 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_OUT = (
-    Path(__file__).resolve().parent / "results" / "BENCH_stream_throughput.json"
-)
+from common import RESULTS, persist_then_decide, synthetic_watts, untrained_camal
 
-
-def _feed(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    watts = rng.uniform(80, 240, size=n) + 40.0
-    for start in range(20, n - 16, 61):  # periodic kettle-ish spikes
-        watts[start : start + 8] = 2600.0
-    return np.round(watts, 2)
-
-
-def _make_model(args):
-    from repro.core import CamAL
-    from repro.datasets import Standardizer
-    from repro.models import ResNetEnsemble
-
-    ensemble = ResNetEnsemble(
-        tuple(args.kernel_sizes), n_filters=tuple(args.filters), seed=args.seed
-    )
-    ensemble.eval()
-    return CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
+DEFAULT_OUT = RESULTS / "BENCH_stream_throughput.json"
 
 
 def _drive(model, window: int, chunk: int, appends: int, seed: int,
@@ -72,7 +51,7 @@ def _drive(model, window: int, chunk: int, appends: int, seed: int,
     """Stream ``appends`` chunks; time both arms on identical windows."""
     from repro.stream import LiveStore, SlidingCamAL
 
-    feed = _feed(window + chunk * (appends + 4), seed)
+    feed = synthetic_watts(window + chunk * (appends + 4), seed)
     store = LiveStore(capacity=window * 4, on_full="evict")
     live = SlidingCamAL(model, store, window=window)
     store.append(feed[:window])
@@ -124,7 +103,7 @@ def _drive(model, window: int, chunk: int, appends: int, seed: int,
 
 
 def run_bench(args) -> dict:
-    model = _make_model(args)
+    model = untrained_camal(args.kernel_sizes, args.filters, args.seed)
     day = _drive(
         model, args.window, args.chunk, args.appends, args.seed,
         verify=not args.no_verify,
@@ -167,39 +146,6 @@ def run_bench(args) -> dict:
     }
 
 
-def gate(args, result: dict) -> int:
-    checks = [
-        ("speedup", result["speedup"], args.min_speedup, ">="),
-        (
-            "incremental_cost_growth",
-            result["sublinear"]["incremental_cost_growth"],
-            args.max_cost_growth,
-            "<=",
-        ),
-    ]
-    failures = []
-    print(f"{'metric':<24} {'measured':>10} {'limit':>10}  verdict")
-    for name, measured, limit, op in checks:
-        ok = measured >= limit if op == ">=" else measured <= limit
-        print(
-            f"{name:<24} {measured:>10.3f} {limit:>10.3f}  "
-            f"{'ok' if ok else 'REGRESSED'}"
-        )
-        if not ok:
-            failures.append(name)
-    day = result["day_window"]
-    print(
-        f"(per-append {day['incremental_p50_ms']:.1f} ms vs cold "
-        f"{day['cold_p50_ms']:.1f} ms at {day['window']} samples, "
-        f"reuse {day['mean_reuse_ratio']:.0%})"
-    )
-    if failures:
-        print(f"FAIL: streaming gate failed on: {', '.join(failures)}")
-        return 1
-    print("OK: incremental updates meet the streaming speedup gate")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--window", type=int, default=1440,
@@ -230,13 +176,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run_bench(args)
-    print(json.dumps(result, indent=2))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.gate:
-        return gate(args, result)
-    return 0
+    day = result["day_window"]
+    checks = [
+        ("speedup", result["speedup"], args.min_speedup, ">="),
+        ("incremental_cost_growth",
+         result["sublinear"]["incremental_cost_growth"],
+         args.max_cost_growth, "<="),
+    ]
+    return persist_then_decide(
+        result,
+        args.out,
+        checks if args.gate else None,
+        subject="streaming",
+        note=(
+            f"(per-append {day['incremental_p50_ms']:.1f} ms vs cold "
+            f"{day['cold_p50_ms']:.1f} ms at {day['window']} samples, "
+            f"reuse {day['mean_reuse_ratio']:.0%})"
+        ),
+    )
 
 
 if __name__ == "__main__":

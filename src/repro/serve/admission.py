@@ -55,8 +55,12 @@ class AdmissionDecision:
     probe: bool = False
 
 
-class _TenantShedState:
-    """Per-tenant hysteresis mirror of the controller's global state."""
+class _Hysteresis:
+    """One shed → probe → recover state machine.
+
+    The controller keeps one for the global gate and one per shed
+    tenant; both step it the same way, only the reasons differ.
+    """
 
     __slots__ = ("shedding", "healthy_streak", "shed_counter")
 
@@ -64,6 +68,26 @@ class _TenantShedState:
         self.shedding = False
         self.healthy_streak = 0
         self.shed_counter = 0
+
+    def step(
+        self, overloaded: bool, recovered: bool, accept_streak: int,
+        probe_every: int,
+    ) -> str:
+        """Advance one decision: ``ok``, ``shed``, ``probe`` or ``recovering``."""
+        if not self.shedding:
+            if not overloaded:
+                return "ok"
+            self.shedding = True
+            self.healthy_streak = 0
+            self.shed_counter = 0
+            return "shed"
+        self.healthy_streak = self.healthy_streak + 1 if recovered else 0
+        if self.healthy_streak >= accept_streak:
+            self.shedding = False
+            self.shed_counter = 0
+            return "recovering"
+        self.shed_counter += 1
+        return "probe" if self.shed_counter % probe_every == 0 else "shed"
 
 
 class AdmissionController:
@@ -138,13 +162,9 @@ class AdmissionController:
         #: heavy tenant should fail before every light tenant does.
         self.cost_share_shed = float(cost_share_shed)
         self._lock = threading.Lock()
-        self._shedding = False
-        self._healthy_streak = 0
-        self._shed_counter = 0  # requests seen since shedding began
+        self._global = _Hysteresis()
         #: tenant_id → hysteresis state, LRU-bounded.
-        self._tenant_states: "OrderedDict[str, _TenantShedState]" = (
-            OrderedDict()
-        )
+        self._tenant_states: "OrderedDict[str, _Hysteresis]" = OrderedDict()
         self._tenant_states_cap = 1024
 
     # -- signal plumbing ---------------------------------------------------
@@ -176,7 +196,7 @@ class AdmissionController:
 
     @property
     def shedding(self) -> bool:
-        return self._shedding
+        return self._global.shedding
 
     def shedding_tenants(self) -> list[str]:
         """Tenants currently in per-tenant shed state (for ``/health``)."""
@@ -208,33 +228,12 @@ class AdmissionController:
         )
         recovered = quality != "critical" and burn <= self.burn_accept
         with self._lock:
-            if not self._shedding:
-                if overloaded:
-                    self._shedding = True
-                    self._healthy_streak = 0
-                    self._shed_counter = 0
-                    decision = self._shed_decision(burn, quality)
-                else:
-                    decision = AdmissionDecision(accepted=True, reason="ok")
-            else:
-                if recovered:
-                    self._healthy_streak += 1
-                else:
-                    self._healthy_streak = 0
-                if self._healthy_streak >= self.accept_streak:
-                    self._shedding = False
-                    self._shed_counter = 0
-                    decision = AdmissionDecision(
-                        accepted=True, reason="recovering"
-                    )
-                else:
-                    self._shed_counter += 1
-                    if self._shed_counter % self.probe_every == 0:
-                        decision = AdmissionDecision(
-                            accepted=True, reason="probe", probe=True
-                        )
-                    else:
-                        decision = self._shed_decision(burn, quality)
+            step = self._global.step(
+                overloaded, recovered, self.accept_streak, self.probe_every
+            )
+        decision = self._verdict(
+            step, "", "quality_critical" if quality == "critical" else "slo_burn"
+        )
         if decision.accepted and tenant is not None:
             tenant_decision = self._decide_tenant(
                 tenant, cost_share, burn, count
@@ -272,48 +271,27 @@ class AdmissionController:
                     return None
                 while len(self._tenant_states) >= self._tenant_states_cap:
                     self._tenant_states.popitem(last=False)
-                state = _TenantShedState()
+                state = _Hysteresis()
                 self._tenant_states[tenant.tenant_id] = state
             else:
                 self._tenant_states.move_to_end(tenant.tenant_id)
-            if not state.shedding:
-                if not overloaded:
-                    return None
-                state.shedding = True
-                state.healthy_streak = 0
-                state.shed_counter = 0
-                return AdmissionDecision(
-                    accepted=False,
-                    reason=reason,
-                    retry_after_s=self.retry_after_s,
-                )
-            if recovered:
-                state.healthy_streak += 1
-            else:
-                state.healthy_streak = 0
-            if state.healthy_streak >= self.accept_streak:
-                state.shedding = False
-                state.shed_counter = 0
-                return AdmissionDecision(
-                    accepted=True, reason="tenant_recovering"
-                )
-            state.shed_counter += 1
-            if state.shed_counter % self.probe_every == 0:
-                return AdmissionDecision(
-                    accepted=True, reason="tenant_probe", probe=True
-                )
+            step = state.step(
+                overloaded, recovered, self.accept_streak, self.probe_every
+            )
+        return None if step == "ok" else self._verdict(step, "tenant_", reason)
+
+    def _verdict(
+        self, step: str, prefix: str, shed_reason: str
+    ) -> AdmissionDecision:
+        """The decision for one hysteresis step; ``prefix`` names the gate."""
+        if step == "shed":
             return AdmissionDecision(
                 accepted=False,
-                reason=reason,
+                reason=shed_reason,
                 retry_after_s=self.retry_after_s,
             )
-
-    def _shed_decision(self, burn: float, quality: str) -> AdmissionDecision:
-        reason = (
-            "quality_critical" if quality == "critical" else "slo_burn"
-        )
         return AdmissionDecision(
-            accepted=False, reason=reason, retry_after_s=self.retry_after_s
+            accepted=True, reason=prefix + step, probe=step == "probe"
         )
 
     def _record(self, decision: AdmissionDecision) -> None:
@@ -337,7 +315,5 @@ class AdmissionController:
 
     def reset(self) -> None:
         with self._lock:
-            self._shedding = False
-            self._healthy_streak = 0
-            self._shed_counter = 0
+            self._global = _Hysteresis()
             self._tenant_states.clear()

@@ -136,6 +136,13 @@ def test_profile_json_round_trips(capsys):
     )
     child_names = [c["name"] for c in localize["children"]]
     assert set(CAMAL_STAGES) <= set(child_names)
+    # The ensemble forward pass dominates a ResNet-ensemble localize.
+    stages = {
+        c["name"]: c["duration_s"]
+        for c in localize["children"]
+        if c["name"].startswith("camal.")
+    }
+    assert max(stages, key=stages.get) == "camal.ensemble_forward"
     assert payload["layers"] and payload["layers"][0]["total_s"] >= 0.0
     assert "camal.windows_localized_total" in payload["metrics"]
 
