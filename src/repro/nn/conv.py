@@ -12,13 +12,15 @@ from .parameter import Parameter
 __all__ = ["Conv1d", "TIME_TILE"]
 
 #: Fixed tile length along the output-time axis of every Conv1d GEMM.
-#: Tiling makes the lowering *length-invariant* on top of PR 8's batch
-#: invariance: output position ``t`` is computed by a GEMM whose shape
-#: depends only on ``t``'s tile — never on the total window length — so
-#: a suffix recomputation that starts on a tile boundary reproduces the
-#: full sweep's tail bit for bit (the streaming layer's reuse contract,
-#: DESIGN.md §13). Must stay constant process-wide: results for the
-#: same input differ at the ULP level across tile sizes.
+#: Tiling makes the lowering *length-invariant* on top of its batch
+#: invariance: every GEMM, the zero-extended last tile's included, has
+#: the shape ``(TIME_TILE, C·K) @ (C·K, D)``, so output position ``t``
+#: depends only on the input its row reads — never on the total window
+#: length. A suffix recomputation that starts on a tile boundary
+#: reproduces the full sweep's tail bit for bit, and so does a position
+#: of a shorter sweep's last, partial tile (the streaming layer's reuse
+#: contract, DESIGN.md §13). Must stay constant process-wide: results
+#: for the same input differ at the ULP level across tile sizes.
 TIME_TILE = 32
 
 
@@ -98,58 +100,53 @@ class Conv1d(Module):
             raise ValueError(
                 f"expected input (N, {self.in_channels}, L), got {x.shape}"
             )
-        left, right = self._pad_amounts(x.shape[2])
-        if left or right:
-            # Hand-rolled zero padding: np.pad's generic machinery costs
-            # ~100µs per call, which dominates short sub-sweeps (the
-            # streaming tail re-sweeps of DESIGN.md §13). calloc + one
-            # slice assign is bit-identical and near-free.
-            padded = np.zeros(
-                (x.shape[0], x.shape[1], left + x.shape[2] + right),
-                dtype=x.dtype,
-            )
-            padded[:, :, left : left + x.shape[2]] = x
-        else:
-            padded = x
-        if padded.shape[2] < self.span:
+        n, c_in, length = x.shape
+        left, right = self._pad_amounts(length)
+        padded_len = left + length + right
+        if padded_len < self.span:
             raise ValueError(
-                f"input length {x.shape[2]} too short for kernel span "
+                f"input length {length} too short for kernel span "
                 f"{self.span} with padding {self.padding}"
             )
+        l_out = (padded_len - self.span) // self.stride + 1
+        n_tiles = -(-l_out // TIME_TILE)
+        # Zero padding, extended on the right until the last output
+        # tile is whole (a stride can leave the padded input longer
+        # still). calloc plus one slice assign is near-free;
+        # np.pad costs ~100µs per call (DESIGN.md §13's tail re-sweeps).
+        tiled_len = (n_tiles * TIME_TILE - 1) * self.stride + self.span
+        padded = np.zeros(
+            (n, c_in, max(tiled_len, padded_len)), dtype=x.dtype
+        )
+        padded[:, :, left : left + length] = x
         cols = im2col1d(
             padded, self.kernel_size, self.stride, self.dilation
-        )  # (N,C,L_out,K)
+        )  # (N, C, n_tiles·TIME_TILE, K)
         # Batch- and length-invariant contraction (DESIGN.md §12/§13):
-        # one GEMM *per window per time tile*, shaped
-        # (≤TIME_TILE, C·K) @ (C·K, D) no matter how many windows are
-        # stacked or how long the series is. The single-GEMM form
-        # ``einsum("nclk,dck->ndl", optimize=True)`` folds the batch
-        # into the M dimension, and BLAS picks ULP-different kernels
-        # for different M — breaking the serve layer's batched-sweep ==
-        # per-window-sweep contract; folding the *time* axis into one
-        # GEMM breaks the streaming layer's suffix-reuse contract the
-        # same way (results at position t would depend on L). Each
-        # window's tile slice is a contiguous (tile, C·K) block of the
-        # normalized ``lhs`` buffer, so per-tile results are exact.
-        n, c_in, l_out, k = cols.shape
+        # one stacked matmul over (N, n_tiles, TIME_TILE, C·K), which
+        # numpy runs as one BLAS GEMM per window per tile, each shaped
+        # (TIME_TILE, C·K) @ (C·K, D) whatever N and L are. Every tile,
+        # the last one included, is whole, so output position t's bits
+        # depend only on the input its tile reads. Folding the batch
+        # (``einsum("nclk,dck->ndl", optimize=True)``) or the time axis
+        # into the GEMM's M dimension would let BLAS pick ULP-different
+        # kernels for different N or L, breaking the serve layer's
+        # batched == solo sweep contract and the streaming layer's
+        # suffix-reuse contract. The rows past l_out read the right
+        # zero extension and are dropped.
+        k = self.kernel_size
         lhs = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(
-            n, l_out, c_in * k
+            n, n_tiles, TIME_TILE, c_in * k
         )
         rhs = self.weight.data.reshape(self.out_channels, c_in * k).T
-        if l_out <= TIME_TILE:
-            res = np.matmul(lhs, rhs)
-        else:
-            res = np.empty((n, l_out, self.out_channels), dtype=lhs.dtype)
-            for start in range(0, l_out, TIME_TILE):
-                stop = min(start + TIME_TILE, l_out)
-                res[:, start:stop] = np.matmul(lhs[:, start:stop], rhs)
-        out = res.transpose(0, 2, 1)
+        res = np.matmul(lhs, rhs).reshape(n, n_tiles * TIME_TILE, -1)
+        out = res[:, :l_out].transpose(0, 2, 1)
         if self.bias is not None:
             out += self.bias.data[None, :, None]
         if not is_inference():
             # The im2col tensor is K× the input size — never retain it
             # under inference_mode.
-            self._cache = (cols, padded.shape[2], left, x.shape[2])
+            self._cache = (cols[:, :, :l_out], padded_len, left, length)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

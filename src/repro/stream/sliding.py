@@ -11,18 +11,19 @@ equivalence harness pins this).
 
 Why bitwise reuse is even possible (DESIGN.md §13):
 
-* ``Conv1d`` lowers to fixed :data:`~repro.nn.conv.TIME_TILE` GEMM
-  tiles along the output-time axis, so position ``t``'s bits depend
-  only on its tile's content and shape — never on the total window
-  length. A suffix sweep starting on a tile boundary therefore
-  reproduces the full sweep's tail exactly.
+* ``Conv1d`` lowers to whole :data:`~repro.nn.conv.TIME_TILE` GEMM
+  tiles along the output-time axis (the last one zero-extended), so
+  every GEMM has one shape and position ``t``'s bits depend only on
+  the input its row reads — never on the total window length. A
+  suffix sweep starting on a tile boundary therefore reproduces the
+  full sweep's tail exactly, and a position in a cached sweep's last,
+  partial tile reproduces in a longer sweep.
 * Every other backbone op (BatchNorm in eval mode, ReLU, the residual
   add) is pointwise, so reuse regions compose across the 9-conv stack
   by receptive-field arithmetic: a member with one-sided halos
   ``(Rl, Rr)`` (:func:`receptive_halo`) produces identical features at
-  any position whose ``[t - Rl, t + Rr]`` context is unchanged, lies
-  inside real data on both sweeps, and sits in a full GEMM tile of the
-  cached sweep.
+  any position whose ``[t - Rl, t + Rr]`` context is unchanged and
+  lies inside real data on both sweeps.
 * Everything downstream of the feature maps — GAP, the linear head,
   softmax, CAM normalization, attention, thresholding — is recomputed
   fresh on the assembled features each sync: identical inputs, O(L)
@@ -251,10 +252,8 @@ class SlidingCamAL:
         if is_repaired:
             camal._record_robust(np.array([True]), np.array([True]))
         x = camal.scaler.transform(eff[None])[0]
-        changed_from, shift, l_old = self._diff(x, base)
-        features, reused, computed = self._assemble(
-            x, changed_from, shift, l_old
-        )
+        changed_from, shift = self._diff(x, base)
+        features, reused, computed = self._assemble(x, changed_from, shift)
         result = camal._from_outputs(x[None, None, :], features)
         if is_repaired:
             result.repaired = np.array([True])
@@ -268,36 +267,37 @@ class SlidingCamAL:
         self.computed_total += computed
         return StreamLocalization(result, base, end, reused, computed)
 
-    def _diff(self, x: np.ndarray, base: int) -> tuple[int, int, int]:
+    def _diff(self, x: np.ndarray, base: int) -> tuple[int, int]:
         """First changed position of ``x`` vs the cached window.
 
-        Returns ``(changed_from, shift, l_old)`` in new-window
-        coordinates; ``changed_from`` is the length of the byte-equal
-        overlap prefix. Comparing *standardized repaired* inputs is
+        Returns ``(changed_from, shift)`` in new-window coordinates;
+        ``changed_from`` is the length of the byte-equal overlap prefix
+        (0 when nothing is cached), so it never reaches past the cached
+        window. Comparing *standardized repaired* inputs is
         what makes repair drift safe: any position whose repaired value
         changed (e.g. a trailing edge-fill becoming an interior
         interpolation) compares unequal and is recomputed.
         """
         if self._features is None or self._cached_x is None:
-            return 0, 0, 0
+            return 0, 0
         shift = base - self._cached_base
         old = self._cached_x
         if shift < 0 or shift % TIME_TILE:
             # Defensive: the base only ever advances in tile hops.
-            return 0, 0, 0
+            return 0, 0
         overlap = min(old.size - shift, x.size)
         if overlap <= 0:
-            return 0, shift, old.size
+            return 0, shift
         a = old[shift : shift + overlap]
         b = x[:overlap]
         # NaN-safe bitwise comparison (usable windows are finite, but a
         # byte view keeps the contract exact regardless).
         neq = a.view(np.uint64) != b.view(np.uint64)
         changed_from = int(np.argmax(neq)) if neq.any() else overlap
-        return changed_from, shift, old.size
+        return changed_from, shift
 
     def _assemble(
-        self, x: np.ndarray, changed_from: int, shift: int, l_old: int
+        self, x: np.ndarray, changed_from: int, shift: int
     ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int, int]:
         """Per-member ``(features, logits)`` with prefix splicing.
 
@@ -310,23 +310,17 @@ class SlidingCamAL:
         camal = self.camal
         l_new = x.size
         x3 = x[None, None, :]
-        # Positions of the *cached* sweep past this limit sat in its
-        # final partial GEMM tile or depended on its right zero-padding
-        # — neither reproduces in the longer sweep.
-        if l_old:
-            tile_full = l_old if l_old % TIME_TILE == 0 else (
-                TIME_TILE * (l_old // TIME_TILE)
-            )
-            stable_limit = min(changed_from, l_old - shift, tile_full - shift)
-        else:
-            stable_limit = 0
         out: list[tuple[np.ndarray, np.ndarray]] = []
         reused = computed = 0
         for index, (member, (r_left, r_right)) in enumerate(
             zip(camal.ensemble.members, self._halos)
         ):
             head = r_left if shift > 0 else 0
-            stable_end = min(stable_limit - r_right, l_new)
+            # Every GEMM tile is whole, so a cached position reproduces
+            # whenever its input context is unchanged: its right halo
+            # must end before the first changed (or the cached sweep's
+            # right zero-padded) sample.
+            stable_end = changed_from - r_right
             head_len = _ceil_tile(r_left + r_right) if head else 0
             tail_start = TIME_TILE * ((stable_end - r_left) // TIME_TILE)
             if (

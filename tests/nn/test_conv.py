@@ -1,9 +1,13 @@
-"""Gradient and shape tests for Conv1d."""
+"""Gradient, shape and invariance tests for Conv1d."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Conv1d, MSELoss, check_module_gradients
+from repro.nn.conv import TIME_TILE
+from repro.nn.module import inference_mode
 
 
 def rng():
@@ -120,3 +124,102 @@ def test_dilated_gradients_match_finite_differences(dilation, stride):
 def test_dilation_validation():
     with pytest.raises(ValueError):
         Conv1d(1, 1, 3, dilation=0)
+
+
+@st.composite
+def conv_cases(draw):
+    """A Conv1d over random C, D, K, dilation, stride/padding, N and L."""
+    c_in = draw(st.integers(1, 4))
+    d_out = draw(st.integers(1, 5))
+    kernel = draw(st.integers(1, 9))
+    dilation = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 3))
+    if stride == 1 and draw(st.booleans()):
+        padding = "same"
+    else:
+        padding = draw(st.integers(0, kernel))
+    conv = Conv1d(
+        c_in, d_out, kernel, stride=stride, padding=padding,
+        dilation=dilation, rng=np.random.default_rng(draw(st.integers(0, 99))),
+    )
+    left, right = conv._pad_amounts(0)
+    min_length = max(conv.span - left - right, 1)
+    length = draw(st.integers(min_length, min_length + 3 * TIME_TILE + 20))
+    n = draw(st.integers(1, 4))
+    x = np.random.default_rng(draw(st.integers(0, 99))).normal(
+        size=(n, c_in, length)
+    )
+    return conv, x
+
+
+@given(case=conv_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_rows_are_bitwise_solo_sweeps(case):
+    """Row i of a batched forward equals window i swept alone, bit for bit."""
+    conv, x = case
+    with inference_mode():
+        batched = conv(x)
+        for i in range(x.shape[0]):
+            solo = conv(x[i : i + 1])[0]
+            assert batched[i].tobytes() == solo.tobytes()
+
+
+@given(case=conv_cases(), extra=st.integers(1, 2 * TIME_TILE))
+@settings(max_examples=60, deadline=None)
+def test_extended_input_keeps_every_position_with_unchanged_context(
+    case, extra
+):
+    """Extending x1 on the right leaves each output whose receptive
+    field ends inside x1 bit-identical — those in x1's last, partial
+    GEMM tile included."""
+    conv, x1 = case
+    x1 = x1[:1]
+    tail = np.random.default_rng(extra).normal(size=(1, x1.shape[1], extra))
+    x2 = np.concatenate([x1, tail], axis=2)
+    left, _ = conv._pad_amounts(x1.shape[2])
+    with inference_mode():
+        y1, y2 = conv(x1), conv(x2)
+    # Output t reads x[t·stride - left, t·stride - left + span - 1].
+    last_input = np.arange(y1.shape[2]) * conv.stride - left + conv.span - 1
+    kept = int(np.count_nonzero(last_input < x1.shape[2]))
+    assert y1[..., :kept].tobytes() == y2[..., :kept].tobytes()
+
+
+def test_last_partial_tile_reproduces_in_a_longer_sweep():
+    """A one-row last tile (the shape BLAS would treat as a vector)
+    gives the same bits as that row inside a whole tile."""
+    conv = Conv1d(3, 4, 5, padding=0, rng=rng())
+    x2 = rng().normal(size=(1, 3, 3 * TIME_TILE))
+    length = TIME_TILE + conv.span  # l_out = TIME_TILE + 1
+    with inference_mode():
+        y1, y2 = conv(x2[..., :length]), conv(x2)
+    assert y1.shape[2] == TIME_TILE + 1
+    assert y1.tobytes() == y2[..., : TIME_TILE + 1].copy().tobytes()
+
+
+@given(
+    c_in=st.integers(1, 2),
+    d_out=st.integers(1, 3),
+    kernel=st.integers(1, 5),
+    stride=st.integers(2, 3),
+    dilation=st.integers(2, 3),
+    padding=st.integers(0, 5),
+    n=st.integers(1, 2),
+    extra=st.integers(0, 2 * TIME_TILE + 8),
+    seed=st.integers(0, 99),
+)
+@settings(max_examples=15, deadline=None)
+def test_strided_dilated_gradients_match_finite_differences(
+    c_in, d_out, kernel, stride, dilation, padding, n, extra, seed
+):
+    """The right zero-extension that whole tiles need never leaks into
+    the weight, bias or input gradients."""
+    r = np.random.default_rng(seed)
+    conv = Conv1d(
+        c_in, d_out, kernel, stride=stride, padding=padding,
+        dilation=dilation, rng=r,
+    )
+    length = max(conv.span - 2 * padding, 1) + extra
+    x = r.normal(size=(n, c_in, length))
+    y = r.normal(size=conv(x).shape)
+    check_module_gradients(conv, MSELoss(), x, y)

@@ -8,6 +8,7 @@ JSON) and the overload contract (503 + ``Retry-After``, no crash).
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -156,7 +157,15 @@ class TestEndToEnd:
     def test_metrics_is_openmetrics(self, server):
         obs.enable()
         rpc(server.url, "GET", "/houses", tenant="m")
-        status, text, headers = rpc(server.url, "GET", "/metrics")
+        # The request's completion record is fanned out after its body
+        # is written, so the first scrape can race it: re-read until the
+        # counter appears, within a bounded deadline.
+        deadline = time.monotonic() + 5.0
+        while True:
+            status, text, headers = rpc(server.url, "GET", "/metrics")
+            if "obs_requests_total" in text or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert status == 200
         assert headers["Content-Type"].startswith(
             "application/openmetrics-text"
