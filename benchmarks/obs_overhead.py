@@ -1,8 +1,8 @@
 """CI telemetry-overhead gate: instrumentation must stay nearly free.
 
 Measures the CamAL fast path on a serving-shaped workload (a small batch
-of 1-day windows) across three configurations, interleaving them
-block-by-block so clock drift and CPU-frequency wander hit all sides
+of 1-day windows) in two configurations, interleaving them
+block-by-block so clock drift and CPU-frequency wander hit both sides
 equally:
 
 * **disabled** — observability off (the baseline).
@@ -10,25 +10,23 @@ equally:
   :class:`~repro.obs.store.TelemetryStore` and the flight recorder
   judging every request — the full serving path including the
   per-request summary flush, not just the span fast path.
-* **profiled** — enabled *plus* the
-  :class:`~repro.obs.ContinuousProfiler` wall-clock stack sampler
-  running at its serving-default rate (~33 Hz), the always-on
-  production configuration. The sampler runs through the whole
-  profiled block and one untimed call precedes the timed ones, so the
-  arm prices steady-state sampling, not thread start-up.
 
 Clock: the gate decides on **process CPU time** (``time.process_time``)
 per call. Wall-time medians on a shared host move by tens of percent
 between runs, far more than the 5% budget. Process CPU counts every
-thread the request costs: the sampler thread's own ticks and any BLAS
-helper threads. The request thread's CPU alone would leave both out.
-The wall-time medians are recorded next to it in ``--out`` (``wall``)
-but do not gate.
+thread the request costs, BLAS helper threads included; the request
+thread's CPU alone would leave them out. The wall-time medians are
+recorded next to it in ``--out`` (``wall``) but do not gate.
+
+Evidence: 45 rounds of 3 calls per arm by default, not a wider bound.
+On a 2-core host a host-speed episode of a few seconds can move the
+median of a 15-round run past the 5% budget; 45 rounds dilute it, and
+a run still takes about 10 s.
 
 Persists the measurement to
 ``benchmarks/results/BENCH_obs_overhead.json`` and exits nonzero if the
-median enabled-vs-disabled **or** profiled-vs-disabled CPU delta exceeds
-the tolerance (default 5%).
+median enabled-vs-disabled CPU delta exceeds the tolerance (default
+5%).
 
 Run from the repo root::
 
@@ -55,15 +53,15 @@ N_FILTERS = (4, 8, 8)  # quick mode — shape matters, scale does not
 #: Timed calls per configuration per round.
 BLOCK = 3
 CLOCKS = {"cpu": time.process_time, "wall": time.perf_counter}
-ARMS = ("disabled", "enabled", "profiled")
+ARMS = ("disabled", "enabled")
 
 
-def measure(model, watts, profiler, rounds: int, warmup: int = 1) -> dict:
+def measure(model, watts, rounds: int, warmup: int = 1) -> dict:
     """Per-call readings of every clock, arm → clock → list of seconds.
 
     Each round runs one block per configuration, back to back, so slow
     machine-level drift cannot masquerade as instrumentation overhead;
-    the order rotates by round so no arm always follows another.
+    the order alternates by round so neither arm always goes first.
     """
 
     def call(enabled: bool):
@@ -79,18 +77,12 @@ def measure(model, watts, profiler, rounds: int, warmup: int = 1) -> dict:
 
     def block(arm: str, timed: bool):
         enabled = arm != "disabled"
-        if arm == "profiled":
-            # In production the sampler starts once at server boot; one
-            # untimed call lets its thread reach steady state.
-            profiler.start()
-            call(enabled)
         for _ in range(BLOCK):
             before = {name: clock() for name, clock in CLOCKS.items()}
             call(enabled)
             if timed:
                 for name, clock in CLOCKS.items():
                     readings[arm][name].append(clock() - before[name])
-        profiler.stop()
 
     for index in range(warmup + rounds):
         shift = index % len(ARMS)
@@ -105,23 +97,19 @@ def summarize(readings: dict, clock: str) -> dict:
     return {
         "disabled_median_s": medians["disabled"],
         "enabled_median_s": medians["enabled"],
-        "profiled_median_s": medians["profiled"],
         "overhead_fraction": medians["enabled"] / medians["disabled"] - 1.0,
-        "profiled_overhead_fraction": (
-            medians["profiled"] / medians["disabled"] - 1.0
-        ),
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--rounds", type=int, default=15,
+        "--rounds", type=int, default=45,
         help="interleaved timed rounds per configuration (after 1 warm-up)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.05,
-        help="allowed median CPU overhead fraction vs disabled, per arm",
+        help="allowed median CPU overhead fraction, enabled vs disabled",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument("--seed", type=int, default=0)
@@ -131,17 +119,13 @@ def main(argv: list[str] | None = None) -> int:
     watts = np.random.default_rng(args.seed).uniform(
         0, 3000, size=(BATCH, SAMPLES)
     )
-    # The serve layer's default sampling rate (~33 Hz), so the gate
-    # prices exactly what /debug/pprof costs in production.
-    profiler = obs.ContinuousProfiler(interval_s=0.03)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = obs.TelemetryStore(tmp)
         obs.set_store(store)
         try:
-            readings = measure(model, watts, profiler, rounds=args.rounds)
+            readings = measure(model, watts, rounds=args.rounds)
         finally:
-            profiler.stop()
             obs.disable()
             obs.set_store(None)
             store.close()
@@ -167,8 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         args.out,
         [
             ("overhead_fraction", cpu["overhead_fraction"],
-             args.tolerance, "<="),
-            ("profiled_overhead_fraction", cpu["profiled_overhead_fraction"],
              args.tolerance, "<="),
         ],
         subject="telemetry overhead",

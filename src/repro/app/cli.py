@@ -169,15 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the flight recorder's retained traces (tail-sampled: "
         "errors/degraded/sheds, the slowest decile, and a random baseline)",
     )
-    obs_cmd.add_argument(
-        "--pprof", action="store_true",
-        help="run the continuous stack sampler during the workload and "
-        "print collapsed-stack flamegraph text",
-    )
-    obs_cmd.add_argument(
-        "--pprof-out", default=None, metavar="TXT",
-        help="write the collapsed stacks to a file (implies --pprof)",
-    )
 
     quality_cmd = sub.add_parser(
         "quality",
@@ -247,11 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-max", type=int, default=None,
         help="max windows coalesced into one sweep (1 disables "
         "batching; default 16)",
-    )
-    serve.add_argument(
-        "--profile-hz", type=float, default=None,
-        help="continuous profiler sampling rate for /debug/pprof "
-        "(default ~33 Hz; 0 disables the sampler)",
     )
     serve.add_argument(
         "--smoke", action="store_true",
@@ -711,12 +697,6 @@ def cmd_obs(args) -> int:
     if store is not None:
         obs.set_store(store)
     chatty = not args.openmetrics  # keep stdout scrape-clean otherwise
-    profiler = None
-    if args.pprof or args.pprof_out:
-        # A tight interval: the workload only runs for seconds, and the
-        # flamegraph needs enough samples to say anything.
-        profiler = obs.ContinuousProfiler(interval_s=0.005)
-        profiler.start()
 
     def dashboard() -> str:
         return format_dashboard(
@@ -756,21 +736,6 @@ def cmd_obs(args) -> int:
                 fh.write(obs.to_jsonl(obs.log.events()))
             if chatty:
                 print(f"event log written to {args.jsonl_out}")
-        if profiler is not None:
-            profiler.stop()
-            lines = profiler.collapsed().splitlines()
-            if args.pprof_out:
-                with open(args.pprof_out, "w") as fh:
-                    for line in lines:
-                        fh.write(line + "\n")
-                if chatty:
-                    print(
-                        f"collapsed stacks ({len(lines)}) written "
-                        f"to {args.pprof_out}"
-                    )
-            elif chatty:
-                for line in lines[:40]:
-                    print(line)
         if args.flight and chatty:
             from ..obs.report import format_flight
 
@@ -792,8 +757,6 @@ def cmd_obs(args) -> int:
         elif not args.watch:
             print(dashboard())
     finally:
-        if profiler is not None:
-            profiler.stop()
         if store is not None:
             obs.set_store(None)
             store.close()
@@ -1064,7 +1027,6 @@ def cmd_serve(args) -> int:
         slo_objective_ms=args.objective_ms,
         batch_window_ms=args.batch_window_ms,
         batch_max=args.batch_max,
-        profile_hz=args.profile_hz,
     )
     try:
         if args.smoke:

@@ -15,7 +15,6 @@ from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .attention import MultiHeadSelfAttention, TransformerEncoderBlock
 from .container import ModuleList, Sequential
 from .conv import Conv1d
-from .conv_extra import AvgPool1d, ConvTranspose1d
 from .data import ArrayDataset, DataLoader, train_val_split
 from .dropout import Dropout
 from .gradcheck import check_module_gradients
@@ -27,7 +26,6 @@ from .optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm, global_grad_norm
 from .parameter import Parameter
 from .pooling import Flatten, GlobalAvgPool1d, MaxPool1d, Upsample1d
 from .rnn import GRU, LSTM, BiGRU, BiLSTM
-from .schedulers import CosineAnnealingLR, ReduceLROnPlateau, StepLR
 from .serialization import load_into_module, load_state, save_module, save_state
 from .trainer import Trainer, TrainingHistory
 
@@ -40,8 +38,6 @@ __all__ = [
     "Sequential",
     "ModuleList",
     "Conv1d",
-    "ConvTranspose1d",
-    "AvgPool1d",
     "MultiHeadSelfAttention",
     "TransformerEncoderBlock",
     "Linear",
@@ -70,9 +66,6 @@ __all__ = [
     "AdamW",
     "clip_grad_norm",
     "global_grad_norm",
-    "StepLR",
-    "CosineAnnealingLR",
-    "ReduceLROnPlateau",
     "ArrayDataset",
     "DataLoader",
     "train_val_split",

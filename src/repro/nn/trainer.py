@@ -67,9 +67,6 @@ class Trainer:
         early stopping (runs all epochs).
     grad_clip:
         Optional global-norm gradient clipping.
-    scheduler:
-        Optional LR scheduler; ``step()`` is called once per epoch (with
-        the validation loss when the scheduler accepts one).
     target_transform:
         Optional callable applied to the raw batch target before the loss
         (e.g. reshaping labels for seq2seq heads).
@@ -89,7 +86,6 @@ class Trainer:
         max_epochs: int = 50,
         patience: int | None = 5,
         grad_clip: float | None = 5.0,
-        scheduler=None,
         target_transform=None,
         input_transform=None,
         verbose: bool = False,
@@ -104,7 +100,6 @@ class Trainer:
         self.max_epochs = max_epochs
         self.patience = patience
         self.grad_clip = grad_clip
-        self.scheduler = scheduler
         self.target_transform = target_transform
         self.input_transform = input_transform
         self.verbose = verbose
@@ -197,11 +192,6 @@ class Trainer:
                     if val_loader is not None:
                         val_loss = self._evaluate(val_loader)
                         history.val_loss.append(val_loss)
-                        if self.scheduler is not None:
-                            try:
-                                self.scheduler.step(val_loss)
-                            except TypeError:
-                                self.scheduler.step()
                         if val_loss < best_val - 1e-12:
                             best_val = val_loss
                             best_state = self.model.state_dict()
@@ -215,11 +205,6 @@ class Trainer:
                             ):
                                 history.stopped_early = True
                                 stop = True
-                    elif self.scheduler is not None:
-                        try:
-                            self.scheduler.step()
-                        except TypeError:
-                            pass
                     history.epoch_seconds.append(time.perf_counter() - epoch_start)
                     self._emit_epoch(epoch, history)
                     if stop:

@@ -35,7 +35,7 @@ Design rules:
 
 from __future__ import annotations
 
-from . import contprof, log, report
+from . import log, report
 from .config import (
     disable,
     enable,
@@ -59,7 +59,6 @@ from .context import (
     parse_tracestate,
     request,
 )
-from .contprof import ContinuousProfiler, thread_role
 from .flight import FlightRecorder
 from .flight import recorder as flight_recorder
 from .export import to_chrome_trace, to_jsonl, to_openmetrics
@@ -115,9 +114,6 @@ __all__ = [
     "format_traceparent",
     "FlightRecorder",
     "flight_recorder",
-    "ContinuousProfiler",
-    "contprof",
-    "thread_role",
     "SloTracker",
     "slo_tracker",
     "GOOD_OUTCOMES",
@@ -150,15 +146,14 @@ span = tracer.span
 
 def reset() -> None:
     """Clear all recorded data (metrics, spans, events, request ids,
-    SLO window, flight ring) and stop any running stack samplers;
-    flags and ring-buffer capacities unchanged."""
+    SLO window, flight ring); flags and ring-buffer capacities
+    unchanged."""
     registry.reset()
     tracer.reset()
     log.reset()
     _context.reset()
     slo_tracker.reset()
     flight_recorder.reset()
-    contprof.stop_all()
 
 
 def warning(name: str, help: str = "", **labels: object) -> None:

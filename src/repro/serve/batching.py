@@ -48,7 +48,6 @@ import time
 import numpy as np
 
 from .. import obs
-from ..obs.contprof import thread_role
 from .tenancy import bill_work
 
 __all__ = ["MicroBatcher", "DEFAULT_BATCH_WINDOW_MS", "DEFAULT_BATCH_MAX"]
@@ -202,13 +201,10 @@ class MicroBatcher:
         try:
             stacked = np.stack([p.window for p in rows])
             with obs.span("serve.batch_sweep", size=len(rows)) as sweep_span:
-                with thread_role("batch-leader"):
-                    cpu0 = time.thread_time()
-                    with sweep_lock:
-                        result = model.localize_watts(
-                            stacked, appliance=appliance
-                        )
-                    sweep_cpu_ms = (time.thread_time() - cpu0) * 1e3
+                cpu0 = time.thread_time()
+                with sweep_lock:
+                    result = model.localize_watts(stacked, appliance=appliance)
+                sweep_cpu_ms = (time.thread_time() - cpu0) * 1e3
                 sweep_span.set(cpu_ms=sweep_cpu_ms)
             # The whole-batch sweep ran on this (leader) thread but
             # belongs to all rows equally: subtract it from the leader's

@@ -28,7 +28,6 @@ DELETE   /houses/{id}/devices/{appliance}      detach an appliance
 POST     /houses/{id}/detect                   detection probability
 POST     /houses/{id}/localize                 per-sample localization
 GET      /debug/flight                         flight-recorder traces
-GET      /debug/pprof                          collapsed-stack profile
 =======  ====================================  ======================
 
 Billing (DESIGN.md §14): every request outside the operator plane —
@@ -69,7 +68,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
-from ..obs.contprof import thread_role
 from .service import (
     DeviceScopeService,
     ModelBank,
@@ -112,13 +110,12 @@ _ROUTES: list[tuple[str, re.Pattern, str]] = [
     ),
     ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/detect$"), "detect"),
     ("POST", re.compile(r"^/houses/(?P<hid>[^/]+)/localize$"), "localize"),
-    # Operator plane: incident traces and the continuous profiler.
+    # Operator plane: incident traces.
     ("GET", re.compile(r"^/debug/flight$"), "debug.flight"),
-    ("GET", re.compile(r"^/debug/pprof$"), "debug.pprof"),
 ]
 
 #: Routes that are admission-exempt and unbilled (see the module docstring).
-_OPERATOR_PLANE = frozenset({"health", "metrics", "debug.flight", "debug.pprof"})
+_OPERATOR_PLANE = frozenset({"health", "metrics", "debug.flight"})
 
 #: The route label of a response to a path/method pair no route matches.
 UNROUTED = "unrouted"
@@ -219,7 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         name, match = _lookup(method, path)
         # OSError: the client went away mid-response.
-        with thread_role("serve-handler"), contextlib.suppress(OSError):
+        with contextlib.suppress(OSError):
             if name in _OPERATOR_PLANE:
                 self._operate(name, query, trace["headers"])
                 return
@@ -246,9 +243,6 @@ class _Handler(BaseHTTPRequestHandler):
             if name == "metrics":
                 text = service.metrics_text()
                 self._send_text(200, text, _OPENMETRICS_CONTENT_TYPE, headers)
-            elif name == "debug.pprof":
-                text = service.pprof_text()
-                self._send_text(200, text, "text/plain; charset=utf-8", headers)
             elif name == "health":
                 self._send_json(*service.health(), headers)
             else:
@@ -328,17 +322,9 @@ class DeviceScopeServer(ThreadingHTTPServer):
     daemon_threads = False
     block_on_close = True
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: DeviceScopeService,
-        profile: bool = True,
-    ):
+    def __init__(self, address: tuple[str, int], service: DeviceScopeService):
         super().__init__(address, _Handler)
         self.service = service
-        #: Start the continuous profiler with the server? (The CLI's
-        #: ``--profile-hz 0`` turns it off.)
-        self.profile = bool(profile)
         self._serve_thread: threading.Thread | None = None
 
     @property
@@ -354,10 +340,6 @@ class DeviceScopeServer(ThreadingHTTPServer):
                 daemon=True,
             )
             self._serve_thread.start()
-            if self.profile:
-                # Re-entrant: ContinuousProfiler.start() no-ops while
-                # its sampler is already alive.
-                self.service.profiler.start()
         return self
 
     def close(self) -> None:
@@ -368,7 +350,7 @@ class DeviceScopeServer(ThreadingHTTPServer):
             self._serve_thread = None
         self.server_close()
         # Handlers are drained; release engine resources (the member
-        # fan-out pools, the profiler's sampler thread) behind them.
+        # fan-out pools) behind them.
         self.service.close()
 
     @contextlib.contextmanager
@@ -393,7 +375,6 @@ def build_server(
     slo_objective_ms: float | None = None,
     batch_window_ms: float | None = None,
     batch_max: int | None = None,
-    profile_hz: float | None = None,
 ) -> DeviceScopeServer:
     """Wire a ready-to-start server (``port=0`` picks an ephemeral one).
 
@@ -406,10 +387,6 @@ def build_server(
     (the CLI's ``--batch-window-ms`` / ``--batch-max``); ``batch_max=1``
     or ``batch_window_ms=0`` disables coalescing entirely. Ignored when
     a pre-built ``service`` is passed.
-
-    ``profile_hz`` sets the continuous profiler's sampling rate (the
-    CLI's ``--profile-hz``; default ~33 Hz); ``0`` disables the sampler
-    entirely — ``/debug/pprof`` then reports zero samples.
     """
     if service is None:
         from .tenancy import TenantRegistry
@@ -433,7 +410,4 @@ def build_server(
             registry=registry,
             **batch_kwargs,
         )
-    profile_on = profile_hz is None or profile_hz > 0
-    if profile_hz is not None and profile_hz > 0:
-        service.profiler.interval_s = 1.0 / float(profile_hz)
-    return DeviceScopeServer((host, port), service, profile=profile_on)
+    return DeviceScopeServer((host, port), service)

@@ -45,7 +45,6 @@ from ..core import CamAL, CamALResult, live_window_key, window_key
 from ..datasets import APPLIANCE_NAMES, Standardizer, build_dataset
 from ..models import ResNetEnsemble
 from ..obs import context as obs_context
-from ..obs.contprof import ContinuousProfiler
 from ..robust import RobustError
 from ..nn.conv import TIME_TILE
 from ..stream import SlidingCamAL
@@ -217,16 +216,10 @@ class DeviceScopeService:
         #: ``devicescope_*`` metric families, the ``/health`` top-tenants
         #: table, and admission control's per-tenant cost gate.
         self.costs = CostLedger()
-        #: Continuous stack sampler behind ``GET /debug/pprof``. Owned
-        #: here (not the HTTP server) so the transport-free service and
-        #: the CLI can profile too; the server starts/stops it around
-        #: its own lifecycle.
-        self.profiler = ContinuousProfiler()
         self.started_at = time.time()
 
     def close(self) -> None:
         """Release held resources; the server calls this on shutdown."""
-        self.profiler.stop()
         self.bank.close()
         self.registry.close()
 
@@ -722,17 +715,6 @@ class DeviceScopeService:
             "entries": recorder.entries(),
         }
 
-    def pprof_text(self) -> str:
-        """Collapsed-stack flamegraph text from the continuous profiler."""
-        stats = self.profiler.stats()
-        header = (
-            f"# devicescope continuous profiler: "
-            f"samples={stats['samples']} stacks={stats['stacks']} "
-            f"interval_s={stats['interval_s']:g} "
-            f"running={int(stats['running'])}\n"
-        )
-        return header + self.profiler.collapsed() + "\n"
-
     def health(self) -> tuple[int, dict]:
         """Process health: the same status the CLI derives.
 
@@ -756,7 +738,6 @@ class DeviceScopeService:
                 "routes": self.costs.snapshot()["routes"],
             },
             "flight": obs.flight_recorder.stats(),
-            "profiler": self.profiler.stats(),
             "batching": self.batcher.stats(),
             "slo": obs.slo_tracker.snapshot(),
             "robust": {

@@ -50,13 +50,8 @@ def layer_zoo(rng):
         "tanh": (nn.Tanh(), rng.normal(size=(3, 8))),
         "gap": (nn.GlobalAvgPool1d(), rng.normal(size=(2, 3, 12))),
         "maxpool": (nn.MaxPool1d(3), rng.normal(size=(2, 3, 13))),
-        "avgpool": (nn.AvgPool1d(2), rng.normal(size=(2, 3, 12))),
         "upsample": (nn.Upsample1d(2), rng.normal(size=(2, 3, 7))),
         "flatten": (nn.Flatten(), rng.normal(size=(2, 3, 5))),
-        "convT": (
-            nn.ConvTranspose1d(2, 3, 4, stride=2, rng=rng),
-            rng.normal(size=(2, 2, 9)),
-        ),
     }
 
 

@@ -85,15 +85,13 @@ def make_server(bank):
     obs.enable()
     started = []
 
-    def make(profile_hz=0, **registry_kwargs):
+    def make(**registry_kwargs):
         service = DeviceScopeService(
             bank=bank,
             registry=TenantRegistry(**registry_kwargs),
             admission=AdmissionController(min_requests=10_000),
         )
-        instance = build_server(
-            bank=bank, service=service, profile_hz=profile_hz
-        )
+        instance = build_server(bank=bank, service=service)
         instance.start()
         started.append(instance)
         return instance
@@ -244,7 +242,7 @@ def test_operator_plane_adds_no_record(make_server):
     server = make_server()
     assert exchange(server, "GET", "/houses")[0] == 200
     before = sinks(server.service)
-    for path in ("/health", "/metrics", "/debug/flight", "/debug/pprof",
+    for path in ("/health", "/metrics", "/debug/flight",
                  "/debug/flight?format=chrome"):
         status, headers, _ = exchange(server, "GET", path)
         assert status == 200
@@ -317,22 +315,3 @@ def test_chrome_export_downloads_the_retained_traces(make_server, monkeypatch):
     assert status == 200
     assert flight["entries"]
     assert all(e["trace_id"] for e in flight["entries"])
-
-
-def test_pprof_labels_handler_threads(make_server, monkeypatch):
-    server = make_server(profile_hz=200.0)
-
-    def slow(tenant):
-        time.sleep(0.3)
-        return 200, {"houses": {}}
-
-    monkeypatch.setattr(server.service, "list_houses", slow)
-    text = ""
-    for _ in range(10):
-        assert exchange(server, "GET", "/houses")[0] == 200
-        status, _, text = exchange(server, "GET", "/debug/pprof")
-        assert status == 200
-        if "serve-handler" in text:
-            break
-    assert text.startswith("# devicescope continuous profiler")
-    assert "serve-handler" in text

@@ -62,9 +62,6 @@ def server(bank):
             registry=TenantRegistry(),
             admission=AdmissionController(min_requests=10_000),
         ),
-        # These tests assert on tracing, not profiling — keep the
-        # sampler thread out of the picture.
-        profile_hz=0,
     )
     with instance.running():
         yield instance
@@ -200,7 +197,6 @@ class TestHeadersOnEveryPath:
                 registry=TenantRegistry(),
                 admission=AdmissionController(min_requests=1),
             ),
-            profile_hz=0,
         )
         with instance.running():
             for _ in range(64):
