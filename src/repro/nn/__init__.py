@@ -2,27 +2,26 @@
 
 This is the substrate that replaces PyTorch in the DeviceScope/CamAL
 reproduction (DESIGN.md §2): explicit layer-wise backpropagation, 1-D
-convolutions via im2col, batch normalization with running statistics,
-GRUs with full BPTT, Adam/SGD optimizers, a mini DataLoader, and a
-training loop with early stopping.
+convolutions as channels-last tiled GEMMs, batch normalization with
+running statistics, GRUs with full BPTT, Adam/SGD optimizers, a mini
+DataLoader, and a training loop with early stopping.
 
 The public surface mirrors the familiar torch naming so the model code in
 :mod:`repro.models` reads like standard deep-learning code.
 """
 
 from . import functional
-from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from .activations import ReLU
 from .attention import MultiHeadSelfAttention, TransformerEncoderBlock
 from .container import ModuleList, Sequential
 from .conv import Conv1d
 from .data import ArrayDataset, DataLoader, train_val_split
-from .dropout import Dropout
 from .gradcheck import check_module_gradients
 from .linear import Linear
 from .losses import BCEWithLogitsLoss, CrossEntropyLoss, Loss, MSELoss
 from .module import Module, inference_mode, is_inference
 from .norm import BatchNorm1d, LayerNorm
-from .optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm, global_grad_norm
+from .optim import SGD, Adam, Optimizer, clip_grad_norm, global_grad_norm
 from .parameter import Parameter
 from .pooling import Flatten, GlobalAvgPool1d, MaxPool1d, Upsample1d
 from .rnn import GRU, LSTM, BiGRU, BiLSTM
@@ -44,10 +43,6 @@ __all__ = [
     "BatchNorm1d",
     "LayerNorm",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
     "GlobalAvgPool1d",
     "MaxPool1d",
     "Upsample1d",
@@ -63,7 +58,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "AdamW",
     "clip_grad_norm",
     "global_grad_norm",
     "ArrayDataset",

@@ -1,13 +1,12 @@
-"""Elementwise activation layers."""
+"""Elementwise activation layer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import functional as F
 from .module import Module, is_inference
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Module):
@@ -28,70 +27,4 @@ class ReLU(Module):
             raise RuntimeError("backward called before forward")
         grad = grad_output * self._mask
         self._mask = None
-        return grad
-
-
-class LeakyReLU(Module):
-    """ReLU with a small negative-side slope (avoids dead units)."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be >= 0")
-        self.negative_slope = negative_slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        if not is_inference():
-            self._mask = mask
-        return np.where(mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_output * np.where(self._mask, 1.0, self.negative_slope)
-        self._mask = None
-        return grad
-
-
-class Sigmoid(Module):
-    """Logistic activation mapping onto (0, 1)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.sigmoid(x)
-        if not is_inference():
-            self._out = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_output * self._out * (1.0 - self._out)
-        self._out = None
-        return grad
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation mapping onto (-1, 1)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(x)
-        if not is_inference():
-            self._out = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_output * (1.0 - self._out**2)
-        self._out = None
         return grad

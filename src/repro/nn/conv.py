@@ -1,10 +1,9 @@
-"""1-D convolution layer with exact im2col forward and adjoint backward."""
+"""1-D convolution layer: channels-last window rows, one GEMM per time tile."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functional import col2im1d, im2col1d
 from .init import he_uniform
 from .module import Module, is_inference
 from .parameter import Parameter
@@ -14,7 +13,7 @@ __all__ = ["Conv1d", "TIME_TILE"]
 #: Fixed tile length along the output-time axis of every Conv1d GEMM.
 #: Tiling makes the lowering *length-invariant* on top of its batch
 #: invariance: every GEMM, the zero-extended last tile's included, has
-#: the shape ``(TIME_TILE, C·K) @ (C·K, D)``, so output position ``t``
+#: the shape ``(TIME_TILE, K·C) @ (K·C, D)``, so output position ``t``
 #: depends only on the input its row reads — never on the total window
 #: length. A suffix recomputation that starts on a tile boundary
 #: reproduces the full sweep's tail bit for bit, and so does a position
@@ -110,59 +109,79 @@ class Conv1d(Module):
             )
         l_out = (padded_len - self.span) // self.stride + 1
         n_tiles = -(-l_out // TIME_TILE)
-        # Zero padding, extended on the right until the last output
-        # tile is whole (a stride can leave the padded input longer
-        # still). calloc plus one slice assign is near-free;
+        k = self.kernel_size
+        # Channels-last zero padding, extended on the right until the
+        # last output tile is whole (a stride can leave the padded input
+        # longer still). The output below is an (N, D, L) view of
+        # (N, L, D) storage, so past the C = 1 stem x.transpose is a
+        # contiguous read. calloc plus one slice assign is near-free;
         # np.pad costs ~100µs per call (DESIGN.md §13's tail re-sweeps).
         tiled_len = (n_tiles * TIME_TILE - 1) * self.stride + self.span
-        padded = np.zeros(
-            (n, c_in, max(tiled_len, padded_len)), dtype=x.dtype
+        padded = np.zeros((n, max(tiled_len, padded_len), c_in), dtype=x.dtype)
+        padded[:, left : left + length] = x.transpose(0, 2, 1)
+        s_n, s_l, s_c = padded.strides
+        step = s_l * self.stride
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(n, n_tiles, TIME_TILE, k, c_in),
+            strides=(s_n, step * TIME_TILE, step, s_l * self.dilation, s_c),
+            writeable=False,
         )
-        padded[:, :, left : left + length] = x
-        cols = im2col1d(
-            padded, self.kernel_size, self.stride, self.dilation
-        )  # (N, C, n_tiles·TIME_TILE, K)
+        # The one copy: each row is K runs of C contiguous doubles (one
+        # run of K·C when dilation is 1), and BLAS needs disjoint rows.
+        rows = np.ascontiguousarray(windows).reshape(
+            n, n_tiles * TIME_TILE, k * c_in
+        )
         # Batch- and length-invariant contraction (DESIGN.md §12/§13):
-        # one stacked matmul over (N, n_tiles, TIME_TILE, C·K), which
-        # numpy runs as one BLAS GEMM per window per tile, each shaped
-        # (TIME_TILE, C·K) @ (C·K, D) whatever N and L are. Every tile,
-        # the last one included, is whole, so output position t's bits
-        # depend only on the input its tile reads. Folding the batch
-        # (``einsum("nclk,dck->ndl", optimize=True)``) or the time axis
-        # into the GEMM's M dimension would let BLAS pick ULP-different
-        # kernels for different N or L, breaking the serve layer's
-        # batched == solo sweep contract and the streaming layer's
-        # suffix-reuse contract. The rows past l_out read the right
-        # zero extension and are dropped.
-        k = self.kernel_size
-        lhs = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(
-            n, n_tiles, TIME_TILE, c_in * k
-        )
-        rhs = self.weight.data.reshape(self.out_channels, c_in * k).T
-        res = np.matmul(lhs, rhs).reshape(n, n_tiles * TIME_TILE, -1)
+        # one stacked matmul over (N, n_tiles, TIME_TILE, K·C) against
+        # the weight reordered K-major, which numpy runs as one BLAS GEMM
+        # per window per tile, each shaped (TIME_TILE, K·C) @ (K·C, D)
+        # whatever N and L are. Every tile, the last one included, is
+        # whole, so output position t's bits depend only on the input
+        # its tile reads. Folding the batch or the time axis into the
+        # GEMM's M dimension would let BLAS pick ULP-different kernels
+        # for different N or L, breaking the serve layer's batched ==
+        # solo sweep contract and the streaming layer's suffix-reuse
+        # contract. The rows past l_out read the right zero extension
+        # and are dropped.
+        rhs = self.weight.data.transpose(2, 1, 0).reshape(k * c_in, -1)
+        res = np.matmul(
+            rows.reshape(n, n_tiles, TIME_TILE, k * c_in), rhs
+        ).reshape(n, n_tiles * TIME_TILE, -1)
         out = res[:, :l_out].transpose(0, 2, 1)
         if self.bias is not None:
             out += self.bias.data[None, :, None]
         if not is_inference():
-            # The im2col tensor is K× the input size — never retain it
-            # under inference_mode.
-            self._cache = (cols[:, :, :l_out], padded_len, left, length)
+            # The rows are K× the input size — never retain them under
+            # inference_mode.
+            self._cache = (rows[:, :l_out], padded_len, left, length)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cols, padded_len, left, in_len = self._cache
+        rows, padded_len, left, in_len = self._cache
+        n, l_out, _ = rows.shape
+        k, c_in = self.kernel_size, self.in_channels
+        # (D, K·C) back to the (D, C, K) weight layout.
+        dweight = np.matmul(grad_output, rows).sum(axis=0)
         self.weight.accumulate_grad(
-            np.einsum("ndl,nclk->dck", grad_output, cols, optimize=True)
+            dweight.reshape(-1, k, c_in).transpose(0, 2, 1)
         )
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=(0, 2)))
-        dcols = np.einsum(
-            "ndl,dck->nclk", grad_output, self.weight.data, optimize=True
+        # The rows' gradient, tap-major (N, K, L_out, C), scatter-added
+        # one tap at a time: each tap reads one contiguous block, and its
+        # strided slice never writes one position twice.
+        drows = np.matmul(
+            grad_output.transpose(0, 2, 1)[:, None],
+            self.weight.data.transpose(2, 0, 1),
         )
-        dpadded = col2im1d(
-            dcols, padded_len, self.kernel_size, self.stride, self.dilation
-        )
+        dpadded = np.zeros((n, padded_len, c_in))
+        for tap in range(k):
+            offset = tap * self.dilation
+            dpadded[:, offset : offset + l_out * self.stride : self.stride] += (
+                drows[:, tap]
+            )
         self._cache = None
-        return dpadded[:, :, left : left + in_len]
+        return dpadded[:, left : left + in_len].transpose(0, 2, 1)

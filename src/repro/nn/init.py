@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_uniform", "he_normal", "glorot_uniform", "orthogonal"]
+__all__ = ["he_uniform", "glorot_uniform", "orthogonal"]
 
 
 def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -18,13 +18,6 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He normal init."""
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def glorot_uniform(

@@ -27,7 +27,7 @@ __all__ = ["Module", "inference_mode", "is_inference"]
 
 # -- inference mode ----------------------------------------------------------
 #
-# Layers cache whatever their backward pass needs (im2col columns, ReLU
+# Layers cache whatever their backward pass needs (conv window rows, ReLU
 # masks, normalized activations, ...). On the inference hot path those
 # caches are pure overhead: CamAL never backpropagates when localizing a
 # window, yet every forward pass used to retain tensors several times the
@@ -149,7 +149,6 @@ class Module:
     _CACHE_ATTRS = (
         "_cache",
         "_mask",
-        "_out",
         "_relu_mask",
         "_features",
         "_length",

@@ -6,7 +6,7 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm", "global_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "global_grad_norm"]
 
 
 def global_grad_norm(parameters: list[Parameter]) -> float:
@@ -117,11 +117,6 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
-    def _adjusted_grad(self, param: Parameter) -> np.ndarray:
-        if self.weight_decay:
-            return param.grad + self.weight_decay * param.data
-        return param.grad
-
     def step(self) -> None:
         self._step_count += 1
         beta1, beta2 = self.betas
@@ -130,7 +125,9 @@ class Adam(Optimizer):
         for param, m, v in zip(self.parameters, self._m, self._v):
             if not param.requires_grad:
                 continue
-            grad = self._adjusted_grad(param)
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
             m *= beta1
             m += (1.0 - beta1) * grad
             v *= beta2
@@ -138,17 +135,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _adjusted_grad(self, param: Parameter) -> np.ndarray:
-        return param.grad
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for param in self.parameters:
-                if param.requires_grad:
-                    param.data -= self.lr * self.weight_decay * param.data
-        super().step()

@@ -127,11 +127,11 @@ def test_dilation_validation():
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, max_kernel=9, bias=True):
     """A Conv1d over random C, D, K, dilation, stride/padding, N and L."""
     c_in = draw(st.integers(1, 4))
     d_out = draw(st.integers(1, 5))
-    kernel = draw(st.integers(1, 9))
+    kernel = draw(st.integers(1, max_kernel))
     dilation = draw(st.integers(1, 3))
     stride = draw(st.integers(1, 3))
     if stride == 1 and draw(st.booleans()):
@@ -140,7 +140,8 @@ def conv_cases(draw):
         padding = draw(st.integers(0, kernel))
     conv = Conv1d(
         c_in, d_out, kernel, stride=stride, padding=padding,
-        dilation=dilation, rng=np.random.default_rng(draw(st.integers(0, 99))),
+        dilation=dilation, bias=bias,
+        rng=np.random.default_rng(draw(st.integers(0, 99))),
     )
     left, right = conv._pad_amounts(0)
     min_length = max(conv.span - left - right, 1)
@@ -223,3 +224,39 @@ def test_strided_dilated_gradients_match_finite_differences(
     x = r.normal(size=(n, c_in, length))
     y = r.normal(size=conv(x).shape)
     check_module_gradients(conv, MSELoss(), x, y)
+
+
+def loop_cross_correlation(conv, x):
+    """Conv1d's forward written as the textbook sum over taps."""
+    left, right = conv._pad_amounts(x.shape[2])
+    padded = np.pad(x, ((0, 0), (0, 0), (left, right)))
+    l_out = (padded.shape[2] - conv.span) // conv.stride + 1
+    out = np.zeros((x.shape[0], conv.out_channels, l_out))
+    for t in range(l_out):
+        for tap in range(conv.kernel_size):
+            col = padded[:, :, t * conv.stride + tap * conv.dilation]
+            out[:, :, t] += col @ conv.weight.data[:, :, tap].T
+    return out
+
+
+@given(case=conv_cases(max_kernel=15, bias=False))
+@settings(max_examples=60, deadline=None)
+def test_forward_matches_loop_cross_correlation(case):
+    conv, x = case
+    np.testing.assert_allclose(
+        conv(x), loop_cross_correlation(conv, x), rtol=0, atol=1e-12
+    )
+
+
+@given(case=conv_cases(max_kernel=15, bias=False), seed=st.integers(0, 99))
+@settings(max_examples=60, deadline=None)
+def test_backward_is_the_adjoint_of_forward(case, seed):
+    """<conv(x), g> == <x, backward(g)> to 1e-10 of the terms' scale:
+    the input gradient is the exact transpose of the linear map, which
+    finite differences cannot check to this precision."""
+    conv, x = case
+    y = conv(x)
+    g = np.random.default_rng(seed).normal(size=y.shape)
+    lhs = float(np.sum(y * g))
+    rhs = float(np.sum(x * conv.backward(g)))
+    assert abs(lhs - rhs) <= 1e-10 * float(np.sum(np.abs(y * g)))

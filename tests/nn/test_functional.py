@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import functional as F
 
@@ -42,38 +40,6 @@ def test_one_hot_basic():
 def test_one_hot_rejects_out_of_range():
     with pytest.raises(ValueError):
         F.one_hot(np.array([0, 3]), 3)
-
-
-def test_im2col_extracts_expected_windows():
-    x = np.arange(10, dtype=float).reshape(1, 1, 10)
-    cols = F.im2col1d(x, kernel_size=3, stride=2)
-    assert cols.shape == (1, 1, 4, 3)
-    np.testing.assert_array_equal(cols[0, 0, 0], [0, 1, 2])
-    np.testing.assert_array_equal(cols[0, 0, 1], [2, 3, 4])
-    np.testing.assert_array_equal(cols[0, 0, 3], [6, 7, 8])
-
-
-@given(
-    kernel=st.integers(min_value=1, max_value=7),
-    stride=st.integers(min_value=1, max_value=3),
-    length=st.integers(min_value=8, max_value=24),
-)
-@settings(max_examples=30, deadline=None)
-def test_col2im_is_adjoint_of_im2col(kernel, stride, length):
-    """<im2col(x), g> == <x, col2im(g)> — the defining adjoint property."""
-    rng = np.random.default_rng(kernel * 100 + stride * 10 + length)
-    x = rng.normal(size=(2, 3, length))
-    cols = F.im2col1d(x, kernel, stride)
-    g = rng.normal(size=cols.shape)
-    lhs = float(np.sum(cols * g))
-    rhs = float(np.sum(x * F.col2im1d(g, length, kernel, stride)))
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_col2im_rejects_kernel_mismatch():
-    cols = np.zeros((1, 1, 4, 3))
-    with pytest.raises(ValueError, match="kernel mismatch"):
-        F.col2im1d(cols, length=10, kernel_size=5, stride=1)
 
 
 def test_relu_clamps_negative():

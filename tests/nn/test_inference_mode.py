@@ -45,9 +45,6 @@ def layer_zoo(rng):
         "ln": (nn.LayerNorm(6), rng.normal(size=(4, 6))),
         "linear": (nn.Linear(6, 4, rng=rng), rng.normal(size=(3, 6))),
         "relu": (nn.ReLU(), rng.normal(size=(3, 8))),
-        "leaky": (nn.LeakyReLU(0.1), rng.normal(size=(3, 8))),
-        "sigmoid": (nn.Sigmoid(), rng.normal(size=(3, 8))),
-        "tanh": (nn.Tanh(), rng.normal(size=(3, 8))),
         "gap": (nn.GlobalAvgPool1d(), rng.normal(size=(2, 3, 12))),
         "maxpool": (nn.MaxPool1d(3), rng.normal(size=(2, 3, 13))),
         "upsample": (nn.Upsample1d(2), rng.normal(size=(2, 3, 7))),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, AdamW, Parameter, clip_grad_norm
+from repro.nn import SGD, Adam, Parameter, clip_grad_norm
 
 
 def quadratic_param(start=5.0):
@@ -37,16 +37,6 @@ def test_sgd_nesterov_converges():
 def test_adam_converges_on_quadratic():
     p = quadratic_param()
     assert abs(minimize(Adam([p], lr=0.1), p, steps=500)) < 1e-4
-
-
-def test_adamw_decoupled_decay_shrinks_weights_without_gradient():
-    p = Parameter(np.array([10.0]))
-    opt = AdamW([p], lr=0.1, weight_decay=0.1)
-    for _ in range(50):
-        opt.zero_grad()
-        p.accumulate_grad(np.zeros(1))
-        opt.step()
-    assert abs(p.data[0]) < 10.0  # pulled toward zero by decay alone
 
 
 def test_sgd_weight_decay_adds_l2_pull():
