@@ -58,13 +58,13 @@ class ResidualBlock(nn.Module):
         self._relu_mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        main = self.main(x)
-        residual = self.shortcut(x) if self.shortcut is not None else x
-        pre = main + residual
-        mask = pre > 0
+        # main's output is a fresh array owned by this call: add the
+        # residual and apply the ReLU into it in place, never into x.
+        pre = self.main(x)
+        pre += self.shortcut(x) if self.shortcut is not None else x
         if not is_inference():
-            self._relu_mask = mask
-        return np.where(mask, pre, 0.0)
+            self._relu_mask = pre > 0
+        return np.fmax(pre, 0.0, out=pre)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._relu_mask is None:

@@ -17,10 +17,11 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
         if not is_inference():
-            self._mask = mask
-        return np.where(mask, x, 0.0)
+            self._mask = x > 0
+        # One pass into a new array; fmax maps NaN to 0 as
+        # where(x > 0, x, 0) did (-0.0 may survive; it equals 0).
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

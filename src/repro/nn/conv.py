@@ -1,4 +1,8 @@
-"""1-D convolution layer: channels-last window rows, one GEMM per time tile."""
+"""1-D convolution layer: channels-last window rows, one GEMM per time tile.
+
+The weight is stored K-major, ``(K, C, D)`` C-contiguous behind its public
+``(D, C, K)`` view, so each GEMM's ``(K·C, D)`` right-hand side is a view.
+"""
 
 from __future__ import annotations
 
@@ -75,8 +79,13 @@ class Conv1d(Module):
         self.padding = padding
         self.dilation = dilation
         fan_in = in_channels * kernel_size
+        # The public (D, C, K) weight is a view of (K, C, D) C-contiguous
+        # storage, so forward's K-major (K·C, D) right-hand side is a view
+        # too, not a per-call copy. Optimizer steps, copy_ and
+        # load_state_dict all write in place and keep that storage.
+        weight = he_uniform((out_channels, in_channels, kernel_size), fan_in, rng)
         self.weight = Parameter(
-            he_uniform((out_channels, in_channels, kernel_size), fan_in, rng),
+            np.ascontiguousarray(weight.transpose(2, 1, 0)).transpose(2, 1, 0),
             name="weight",
         )
         self.bias = Parameter(np.zeros(out_channels), name="bias") if bias else None
@@ -121,20 +130,22 @@ class Conv1d(Module):
         padded[:, left : left + length] = x.transpose(0, 2, 1)
         s_n, s_l, s_c = padded.strides
         step = s_l * self.stride
-        windows = np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(n, n_tiles, TIME_TILE, k, c_in),
+        # The ndarray constructor builds the same view as as_strided at a
+        # fraction of its per-call cost.
+        windows = np.ndarray(
+            (n, n_tiles, TIME_TILE, k, c_in),
+            dtype=padded.dtype,
+            buffer=padded,
             strides=(s_n, step * TIME_TILE, step, s_l * self.dilation, s_c),
-            writeable=False,
         )
         # The one copy: each row is K runs of C contiguous doubles (one
         # run of K·C when dilation is 1), and BLAS needs disjoint rows.
-        rows = np.ascontiguousarray(windows).reshape(
-            n, n_tiles * TIME_TILE, k * c_in
+        tiles = np.ascontiguousarray(windows).reshape(
+            n, n_tiles, TIME_TILE, k * c_in
         )
         # Batch- and length-invariant contraction (DESIGN.md §12/§13):
         # one stacked matmul over (N, n_tiles, TIME_TILE, K·C) against
-        # the weight reordered K-major, which numpy runs as one BLAS GEMM
+        # the weight's K-major view, which numpy runs as one BLAS GEMM
         # per window per tile, each shaped (TIME_TILE, K·C) @ (K·C, D)
         # whatever N and L are. Every tile, the last one included, is
         # whole, so output position t's bits depend only on the input
@@ -143,19 +154,20 @@ class Conv1d(Module):
         # for different N or L, breaking the serve layer's batched ==
         # solo sweep contract and the streaming layer's suffix-reuse
         # contract. The rows past l_out read the right zero extension
-        # and are dropped.
+        # and are dropped. rhs is a view of the weight's (K, C, D)
+        # storage; it is a copy only if weight.data is rebound to an
+        # array of another layout.
         rhs = self.weight.data.transpose(2, 1, 0).reshape(k * c_in, -1)
-        res = np.matmul(
-            rows.reshape(n, n_tiles, TIME_TILE, k * c_in), rhs
-        ).reshape(n, n_tiles * TIME_TILE, -1)
-        out = res[:, :l_out].transpose(0, 2, 1)
+        res = np.matmul(tiles, rhs).reshape(n, n_tiles * TIME_TILE, -1)
         if self.bias is not None:
-            out += self.bias.data[None, :, None]
+            # On the contiguous (N, T, D) result: the same sums, one pass.
+            res += self.bias.data
         if not is_inference():
             # The rows are K× the input size — never retain them under
             # inference_mode.
+            rows = tiles.reshape(n, n_tiles * TIME_TILE, k * c_in)
             self._cache = (rows[:, :l_out], padded_len, left, length)
-        return out
+        return res[:, :l_out].transpose(0, 2, 1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

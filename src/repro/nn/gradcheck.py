@@ -18,6 +18,25 @@ def _scalar_loss(module: Module, loss: Loss, x: np.ndarray, y: np.ndarray) -> fl
     return loss(module(x), y)
 
 
+def _central_differences(f, arr: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences of ``f()`` w.r.t. each element of ``arr``.
+
+    Perturbs ``arr`` in place by index, so it works whatever the array's
+    layout: ``reshape(-1)`` of a non-contiguous array is a copy, and a
+    perturbation written there would never reach the module.
+    """
+    grad = np.zeros(arr.shape)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + eps
+        plus = f()
+        arr[i] = orig - eps
+        minus = f()
+        arr[i] = orig
+        grad[i] = (plus - minus) / (2.0 * eps)
+    return grad
+
+
 def numerical_input_grad(
     module: Module,
     loss: Loss,
@@ -26,18 +45,7 @@ def numerical_input_grad(
     eps: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference gradient of the loss w.r.t. the input array."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    flat_grad = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        plus = _scalar_loss(module, loss, x, y)
-        flat[i] = orig - eps
-        minus = _scalar_loss(module, loss, x, y)
-        flat[i] = orig
-        flat_grad[i] = (plus - minus) / (2.0 * eps)
-    return grad
+    return _central_differences(lambda: _scalar_loss(module, loss, x, y), x, eps)
 
 
 def numerical_param_grads(
@@ -52,18 +60,9 @@ def numerical_param_grads(
     for name, param in module.named_parameters():
         if not param.requires_grad:
             continue
-        grad = np.zeros_like(param.data)
-        flat = param.data.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            plus = _scalar_loss(module, loss, x, y)
-            flat[i] = orig - eps
-            minus = _scalar_loss(module, loss, x, y)
-            flat[i] = orig
-            flat_grad[i] = (plus - minus) / (2.0 * eps)
-        grads[name] = grad
+        grads[name] = _central_differences(
+            lambda: _scalar_loss(module, loss, x, y), param.data, eps
+        )
     return grads
 
 

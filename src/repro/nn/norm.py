@@ -67,12 +67,19 @@ class BatchNorm1d(Module):
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand(mean, x.ndim)) * self._expand(inv_std, x.ndim)
-        out = self._expand(self.gamma.data, x.ndim) * x_hat + self._expand(
-            self.beta.data, x.ndim
-        )
+        # One affine pass, x * scale + shift. Both are derived on every
+        # call, never cached, so in-place updates of gamma, beta or the
+        # running buffers can never leave them stale.
+        std = np.sqrt(var + self.eps)
+        scale = self.gamma.data / std
+        shift = self.beta.data - mean * scale
+        out = x * self._expand(scale, x.ndim)
+        out += self._expand(shift, x.ndim)
         if not is_inference():
+            inv_std = 1.0 / std
+            x_hat = (x - self._expand(mean, x.ndim)) * self._expand(
+                inv_std, x.ndim
+            )
             self._cache = (x_hat, inv_std, axes, x.ndim, self.training)
         return out
 

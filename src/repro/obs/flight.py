@@ -36,6 +36,7 @@ requests and refusals alike — whenever observability is enabled.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import threading
@@ -72,9 +73,11 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._entries: deque[dict] = deque()
         self._bytes = 0
-        #: Rolling durations of recent *served* requests — the p90 of
-        #: this window is the "slow" retention threshold.
+        #: Rolling durations of recent *served* requests, in arrival
+        #: order and kept sorted — the p90 of this window is the "slow"
+        #: retention threshold, read off the sorted copy without a sort.
         self._durations: deque[float] = deque(maxlen=slow_window)
+        self._sorted_durations: list[float] = []
         # Counters (exposed via stats(), not the metrics registry, so
         # the recorder stays usable even while metrics are cleared).
         self._seen = 0
@@ -103,7 +106,7 @@ class FlightRecorder:
             elif (
                 threshold is not None
                 and duration_s >= threshold
-                and duration_s > min(self._durations)
+                and duration_s > self._sorted_durations[0]
             ):
                 reason = "slow"
             elif self._rng.random() < self.sample_rate:
@@ -111,7 +114,7 @@ class FlightRecorder:
             else:
                 reason = None
             if record.admitted:
-                self._durations.append(duration_s)
+                self._record_duration_locked(duration_s)
             if reason is None:
                 return
             entry = {
@@ -135,9 +138,18 @@ class FlightRecorder:
         n = len(self._durations)
         if n < 20:
             return None
-        ordered = sorted(self._durations)
         idx = min(n - 1, int(self.slow_quantile * n))
-        return ordered[idx]
+        return self._sorted_durations[idx]
+
+    def _record_duration_locked(self, duration_s: float) -> None:
+        window = self._durations
+        if len(window) == window.maxlen:
+            oldest = window[0]
+            del self._sorted_durations[
+                bisect.bisect_left(self._sorted_durations, oldest)
+            ]
+        window.append(duration_s)
+        bisect.insort(self._sorted_durations, duration_s)
 
     def _retain_locked(self, entry: dict) -> None:
         entry["bytes"] = len(json.dumps(entry, default=str))
@@ -223,6 +235,7 @@ class FlightRecorder:
         with self._lock:
             self._entries.clear()
             self._durations.clear()
+            self._sorted_durations.clear()
             self._bytes = 0
             self._seen = 0
             self._kept = 0

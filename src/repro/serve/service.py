@@ -488,7 +488,7 @@ class DeviceScopeService:
             "house_id": house_id,
             "start": start,
             "length": length,
-            "watts": [None if np.isnan(w) else float(w) for w in window],
+            "watts": _json_watts(window),
         }
 
     # -- devices -----------------------------------------------------------
@@ -891,6 +891,19 @@ def _as_watts(values) -> np.ndarray:
     # None -> NaN; an int beyond float range raises OverflowError,
     # exactly as float() does.
     return np.array(values, dtype=np.float64)
+
+
+def _json_watts(window: np.ndarray) -> list:
+    """A float64 window as a JSON watts list (NaN → null).
+
+    ``_as_watts``'s inverse: one ``tolist`` pass, then a ``None`` at each
+    gap — the same floats and nulls as a per-sample ``isnan`` test, at a
+    fraction of its cost.
+    """
+    watts = window.tolist()
+    for i in np.flatnonzero(np.isnan(window)).tolist():
+        watts[i] = None
+    return watts
 
 
 def _window_bounds(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import ResidualBlock, ResNetTSC
 from repro.nn import CrossEntropyLoss, MSELoss, check_module_gradients
+from repro.nn.module import inference_mode
 
 
 def small_resnet(k=5, seed=0):
@@ -128,3 +129,25 @@ def test_state_dict_roundtrip():
     b.eval()
     b.load_state_dict(a.state_dict())
     np.testing.assert_allclose(a(x), b(x))
+
+
+@pytest.mark.parametrize("c_in, c_out", [(2, 3), (4, 4)], ids=["proj", "identity"])
+@pytest.mark.parametrize("inference", [False, True])
+def test_residual_block_never_writes_into_its_input(c_in, c_out, inference):
+    """The block adds the residual and applies its ReLU in place, but only
+    into its own main output — the identity shortcut's x is left alone."""
+    rng = np.random.default_rng(10)
+    block = ResidualBlock(c_in, c_out, 3, rng)
+    block.eval()
+    x = rng.normal(size=(2, c_in, 12))
+    before = x.copy()
+    if inference:
+        with inference_mode():
+            out = block(x)
+    else:
+        out = block(x)
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(out, x)
+    residual = x if block.shortcut is None else block.shortcut(x)
+    pre = block.main(x) + residual
+    np.testing.assert_array_equal(out, np.where(pre > 0, pre, 0.0))

@@ -24,3 +24,16 @@ def test_relu_forward():
 def test_backward_before_forward_raises():
     with pytest.raises(RuntimeError):
         ReLU().backward(np.zeros((1, 1)))
+
+
+def test_relu_maps_nan_to_zero():
+    out = ReLU()(np.array([np.nan, -np.nan, -1.0, 2.0]))
+    np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 2.0])
+
+
+def test_relu_returns_a_new_array_and_leaves_its_input():
+    x = np.array([[-2.0, 0.5, np.nan, 3.0]])
+    before = x.copy()
+    out = ReLU()(x)
+    assert not np.shares_memory(out, x)
+    np.testing.assert_array_equal(x, before)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv1d, MSELoss, check_module_gradients
+from repro.nn import Adam, Conv1d, MSELoss, check_module_gradients
 from repro.nn.conv import TIME_TILE
 from repro.nn.module import inference_mode
 
@@ -260,3 +260,47 @@ def test_backward_is_the_adjoint_of_forward(case, seed):
     lhs = float(np.sum(y * g))
     rhs = float(np.sum(x * conv.backward(g)))
     assert abs(lhs - rhs) <= 1e-10 * float(np.sum(np.abs(y * g)))
+
+
+def assert_rhs_is_a_view(conv):
+    """Forward's (K·C, D) right-hand side is a view of the weight."""
+    kmajor = conv.weight.data.transpose(2, 1, 0)
+    assert kmajor.flags.c_contiguous
+    rhs = kmajor.reshape(conv.kernel_size * conv.in_channels, -1)
+    assert np.shares_memory(rhs, conv.weight.data)
+
+
+def test_state_dict_roundtrip_keeps_forward_and_kmajor_storage():
+    rng = np.random.default_rng(11)
+    a = Conv1d(3, 5, 7, rng=rng)
+    b = Conv1d(3, 5, 7, rng=np.random.default_rng(12))
+    a.bias.data[...] = rng.normal(size=5)
+    x = rng.normal(size=(2, 3, 70))
+    state = a.state_dict()
+    np.testing.assert_array_equal(state["weight"], a.weight.data)
+    assert state["weight"].shape == (5, 3, 7)
+    b.load_state_dict(state)
+    assert np.array_equal(a(x), b(x))
+    assert_rhs_is_a_view(a)
+    assert_rhs_is_a_view(b)
+
+
+def test_adam_step_keeps_forward_and_kmajor_storage():
+    """The optimizer updates the K-major storage in place: the stepped
+    layer still sweeps with a view, bit-identical to a fresh layer loaded
+    with its state."""
+    rng = np.random.default_rng(13)
+    conv = Conv1d(4, 6, 9, rng=rng)
+    storage = conv.weight.data
+    x = rng.normal(size=(2, 4, 45))
+    optimizer = Adam(conv.parameters(), lr=1e-2)
+    for _ in range(3):
+        conv.zero_grad()
+        out = conv(x)
+        conv.backward(out - 1.0)
+        optimizer.step()
+    assert conv.weight.data is storage
+    assert_rhs_is_a_view(conv)
+    fresh = Conv1d(4, 6, 9, rng=np.random.default_rng(14))
+    fresh.load_state_dict(conv.state_dict())
+    assert np.array_equal(conv(x), fresh(x))

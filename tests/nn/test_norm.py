@@ -62,6 +62,62 @@ def test_batchnorm_gradients_eval_mode():
     check_module_gradients(bn, MSELoss(), x, y)
 
 
+def reference_eval_batchnorm(bn, x):
+    """The textbook eval form, gamma * (x - mean) / sqrt(var + eps) + beta."""
+    def expand(stat):
+        return stat[None, :, None] if x.ndim == 3 else stat[None, :]
+
+    return expand(bn.gamma.data) * (x - expand(bn.running_mean)) / np.sqrt(
+        expand(bn.running_var) + bn.eps
+    ) + expand(bn.beta.data)
+
+
+def random_stats_batchnorm(c, seed):
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm1d(c)
+    bn.gamma.data[...] = rng.uniform(-2.0, 2.0, c)
+    bn.beta.data[...] = rng.normal(0.0, 3.0, c)
+    bn.running_mean[...] = rng.normal(0.0, 5.0, c)
+    bn.running_var[...] = rng.uniform(1e-3, 10.0, c)
+    bn.eval()
+    return bn
+
+
+@pytest.mark.parametrize("layout", ["ncl", "channels-last", "nc"])
+@pytest.mark.parametrize("seed", range(5))
+def test_eval_affine_matches_reference_on_random_stats(layout, seed):
+    rng = np.random.default_rng(100 + seed)
+    bn = random_stats_batchnorm(6, seed)
+    if layout == "ncl":
+        x = rng.normal(0.0, 20.0, size=(3, 6, 50))
+    elif layout == "channels-last":
+        # What every Conv1d returns: an (N, C, L) view of (N, L, C) storage.
+        x = rng.normal(0.0, 20.0, size=(3, 50, 6)).transpose(0, 2, 1)
+    else:
+        x = rng.normal(0.0, 20.0, size=(7, 6))
+    before = x.copy()
+    out = bn(x)
+    want = reference_eval_batchnorm(bn, x)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
+def test_eval_affine_follows_in_place_updates():
+    """scale and shift are derived per call: an in-place write to gamma,
+    beta or a running buffer shows in the very next forward."""
+    bn = random_stats_batchnorm(3, 9)
+    x = np.random.default_rng(9).normal(size=(2, 3, 8))
+    bn(x)
+    bn.gamma.data *= 2.0
+    bn.beta.data += 1.0
+    bn.running_mean[...] += 0.5
+    bn.running_var[...] *= 3.0
+    np.testing.assert_allclose(
+        bn(x), reference_eval_batchnorm(bn, x), rtol=1e-12, atol=1e-12
+    )
+
+
 def test_batchnorm_rejects_wrong_channels():
     bn = BatchNorm1d(3)
     with pytest.raises(ValueError, match="channels"):

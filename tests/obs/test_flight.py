@@ -55,6 +55,23 @@ def test_slow_tier_needs_history_then_catches_the_slowest_decile():
     assert kept[0]["reason"] == "slow"
 
 
+def test_sorted_window_tracks_the_rolling_durations():
+    """Past the window's length, the sorted copy still holds exactly the
+    last ``slow_window`` durations, so the threshold and the fastest-recent
+    floor equal a full sort of the window (repeated values included)."""
+    rec = FlightRecorder(sample_rate=0.0, slow_window=32)
+    rng = np.random.default_rng(3)
+    for i, duration in enumerate(rng.choice(rng.uniform(0, 1, 40), 200)):
+        _finish(rec, f"r{i}", duration_s=float(duration))
+        window = sorted(rec._durations)
+        assert rec._sorted_durations == window
+        if len(window) >= 20:
+            idx = min(len(window) - 1, int(0.9 * len(window)))
+            assert rec.stats()["slow_threshold_s"] == window[idx]
+    rec.reset()
+    assert rec._sorted_durations == []
+
+
 def test_probabilistic_baseline_is_deterministic_per_seed():
     def kept_ids(seed):
         rec = FlightRecorder(sample_rate=0.2, seed=seed)

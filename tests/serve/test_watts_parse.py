@@ -1,5 +1,7 @@
 """``_as_watts``: the vectorized parse answers exactly like the
-per-element loop it replaced — same bits, same 400s, same messages."""
+per-element loop it replaced — same bits, same 400s, same messages.
+``_json_watts``, the series route's inverse, builds the same list as the
+per-sample comprehension it replaced."""
 
 import math
 
@@ -8,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.service import MAX_INGEST_SAMPLES, ServiceError, _as_watts
+from repro.serve.service import (
+    MAX_INGEST_SAMPLES,
+    ServiceError,
+    _as_watts,
+    _json_watts,
+)
 
 from .test_http import rpc, server  # noqa: F401  (server is a fixture)
 
@@ -115,3 +122,30 @@ def test_int_beyond_float_range_is_400_over_http(server):  # noqa: F811
     )
     assert status == 400
     assert "too large" in payload["error"]
+
+
+def reference_json_watts(window: np.ndarray) -> list:
+    """The per-sample payload, one ``isnan`` per element."""
+    return [None if np.isnan(w) else float(w) for w in window]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(math.nan),
+            st.just(-0.0),
+            st.floats(allow_nan=False),
+        ),
+        max_size=60,
+    )
+)
+def test_series_payload_matches_per_sample_comprehension(values):
+    window = np.array(values, dtype=np.float64)
+    got, want = _json_watts(window), reference_json_watts(window)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    # == cannot tell -0.0 from 0.0; the sign must survive too.
+    assert [math.copysign(1.0, v) for v in got if v is not None] == [
+        math.copysign(1.0, v) for v in want if v is not None
+    ]
