@@ -710,25 +710,26 @@ def cmd_obs(args) -> int:
         n_requests = max(args.requests, 1)
         refreshes = n_requests if args.iterations is None else args.iterations
         try:
-            for i in range(n_requests):
-                # Forward to the end, then bounce back: revisits exercise
-                # the result cache so hits/misses both show up attributed.
-                view = playground.view()
-                if view.has_next and i < n_requests // 2:
-                    playground.state.advance(playground.n_windows, +1)
-                else:
-                    playground.state.advance(playground.n_windows, -1)
-                if args.watch and i < refreshes:
-                    print(dashboard())
-                    print()
-                    if args.interval > 0 and i < min(n_requests, refreshes) - 1:
-                        sleep(args.interval)
+            with obs.tracer.capture() as captured:
+                for i in range(n_requests):
+                    # Forward to the end, then bounce back: revisits exercise
+                    # the result cache so hits/misses both show up attributed.
+                    view = playground.view()
+                    if view.has_next and i < n_requests // 2:
+                        playground.state.advance(playground.n_windows, +1)
+                    else:
+                        playground.state.advance(playground.n_windows, -1)
+                    if args.watch and i < refreshes:
+                        print(dashboard())
+                        print()
+                        if args.interval > 0 and i < min(n_requests, refreshes) - 1:
+                            sleep(args.interval)
         except KeyboardInterrupt:
             if chatty:
                 print("\nwatch interrupted; flushing telemetry")
         if args.trace_out:
             with open(args.trace_out, "w") as fh:
-                json_mod.dump(obs.to_chrome_trace(obs.tracer), fh)
+                json_mod.dump(obs.to_chrome_trace(captured), fh)
             if chatty:
                 print(f"chrome trace written to {args.trace_out}")
         if args.jsonl_out:
@@ -1203,7 +1204,7 @@ def cmd_profile(args) -> int:
     obs.enable()
     obs.reset()
     try:
-        with ensemble.profile() as prof:
+        with ensemble.profile() as prof, obs.tracer.capture() as captured:
             for _ in range(max(args.repeats, 1)):
                 model.localize_watts(watts)
         payload = {
@@ -1216,7 +1217,7 @@ def cmd_profile(args) -> int:
                 "members": len(ensemble),
                 "seed": args.seed,
             },
-            "spans": obs.tracer.to_dicts(),
+            "spans": captured.to_dicts(),
             "layers": prof.stats(),
             "metrics": obs.registry.snapshot(),
         }

@@ -10,9 +10,9 @@ Quick start::
     from repro import obs
 
     obs.enable()                       # collection is off by default
-    with obs.request(kind="view"):     # request-scoped attribution
+    with obs.tracer.capture() as captured, obs.request(kind="view"):
         model.localize(x)              # hot paths now record spans/metrics
-    print(obs.tracer.find("camal.localize"))
+    print(captured.find("camal.localize"))
     print(obs.to_openmetrics(obs.registry.snapshot()))
     obs.disable()
 
@@ -22,13 +22,15 @@ Design rules:
   shared no-op context manager, ``obs.request()`` yields a shared no-op
   request, metric call sites guard on ``obs.enabled()``, and
   ``obs.log.event`` records nothing.
-* **Bounded state**: the event buffer, the tracer's root store, and the
-  SLO window are ring buffers (defaults ~10k entries) so a long-lived
-  serving process cannot OOM from telemetry.
+* **Bounded state**: the tracer keeps no span store — a root span goes
+  to its request (which the flight recorder judges, keeping a bounded
+  few) and to any open ``tracer.capture()`` block; the event buffer and
+  the SLO window are bounded rings, so a long-lived serving process
+  cannot OOM from telemetry.
 * **No stdout from library code**: events go to an in-memory buffer and
   (when verbose) stderr; stdout belongs to the CLI.
 * **Plain-dict exports everywhere** (``registry.snapshot()``,
-  ``tracer.to_dicts()``) so ``devicescope profile --json`` round-trips
+  ``captured.to_dicts()``) so ``devicescope profile --json`` round-trips
   through ``json.loads``; :mod:`repro.obs.export` renders the same
   dicts as OpenMetrics text, Chrome trace-event JSON, and JSONL.
 """
@@ -145,9 +147,8 @@ span = tracer.span
 
 
 def reset() -> None:
-    """Clear all recorded data (metrics, spans, events, request ids,
-    SLO window, flight ring); flags and ring-buffer capacities
-    unchanged."""
+    """Clear all recorded data (metrics, open span stacks, events,
+    request ids, SLO window, flight ring); flags unchanged."""
     registry.reset()
     tracer.reset()
     log.reset()

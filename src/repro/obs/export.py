@@ -9,7 +9,7 @@ Three interchange formats over the existing snapshot structures:
   ``+Inf`` bucket, terminated by ``# EOF``.
 * :func:`to_chrome_trace` — Chrome trace-event JSON (``ph: "X"``
   complete events with ``pid``/``tid``/``ts``/``dur``/``args``) from a
-  :class:`~repro.obs.tracing.Tracer` or its ``to_dicts()`` export; one
+  :class:`~repro.obs.tracing.Capture` or its ``to_dicts()`` export; one
   track per emitting thread, request ids in ``args``. Opens directly in
   Perfetto / ``about://tracing``.
 * :func:`to_jsonl` — structured log events as JSON Lines for shipping.
@@ -25,7 +25,7 @@ import json
 import math
 import re
 
-from .tracing import Span, Tracer
+from .tracing import Capture
 
 __all__ = ["to_openmetrics", "to_chrome_trace", "to_jsonl"]
 
@@ -188,26 +188,19 @@ def to_openmetrics(snapshot: dict, slo: dict | None = None) -> str:
 # -- Chrome trace events ---------------------------------------------------
 
 
-def _span_dicts(source: "Tracer | list[dict] | list[Span]") -> list[dict]:
-    if isinstance(source, Tracer):
-        return source.to_dicts()
-    return [
-        node.to_dict() if isinstance(node, Span) else node for node in source
-    ]
+def to_chrome_trace(source: "Capture | list[dict]") -> dict:
+    """Convert captured span trees into Chrome trace-event JSON.
 
-
-def to_chrome_trace(source: "Tracer | list[dict]") -> dict:
-    """Convert retained span trees into Chrome trace-event JSON.
-
-    Accepts a :class:`Tracer` or its ``to_dicts()`` output. Returns the
-    ``{"traceEvents": [...]}`` object form — ``json.dump`` it to a file
-    and open in Perfetto or ``about://tracing``. Spans become ``ph: "X"``
-    complete events with microsecond ``ts``/``dur`` (normalized so the
-    earliest span starts at 0), one ``tid`` track per emitting thread,
-    and ``request_id``/``span_id``/``parent_id`` in ``args``. An empty
-    tracer yields a valid empty document.
+    Accepts a :class:`~repro.obs.tracing.Capture` or its ``to_dicts()``
+    output. Returns the ``{"traceEvents": [...]}`` object form —
+    ``json.dump`` it to a file and open in Perfetto or
+    ``about://tracing``. Spans become ``ph: "X"`` complete events with
+    microsecond ``ts``/``dur`` (normalized so the earliest span starts at
+    0), one ``tid`` track per emitting thread, and
+    ``request_id``/``span_id``/``parent_id`` in ``args``. An empty
+    capture yields a valid empty document.
     """
-    roots = _span_dicts(source)
+    roots = source.to_dicts() if isinstance(source, Capture) else source
     flat: list[dict] = []
 
     def walk(node: dict) -> None:
@@ -219,8 +212,8 @@ def to_chrome_trace(source: "Tracer | list[dict]") -> dict:
         walk(root)
     if not flat:
         return {"traceEvents": [], "displayTimeUnit": "ms"}
-    # Assign tracks in span *start* order, not retention order: root
-    # spans are retained in completion order, so a short worker span
+    # Assign tracks in span *start* order, not closing order: root
+    # spans are collected in completion order, so a short worker span
     # can precede the long dispatching root that spawned it — track 0
     # ("main") must go to the earliest-starting thread regardless.
     flat.sort(key=lambda node: node.get("start_s", 0.0))

@@ -1,12 +1,14 @@
 """Tail-sampling flight recorder: complete span trees for the traces
 that matter.
 
-The :class:`~repro.obs.tracing.Tracer` ring keeps *every* recent root
-span, which is the right default for a notebook but the wrong shape for
-an incident at serving scale: 10k healthy traces crowd out the three
-that explain the outage. The flight recorder is a **retention policy**
-over those same trees, not a second store — **tail-based retention**
-decides *after* a request completes whether its trace is worth keeping:
+The tracer keeps no span store: each request's root spans go to its
+``RequestContext.roots`` (and to a ``Tracer.capture()`` block, when a
+caller opened one). Keeping every tree would be the wrong shape for an
+incident at serving scale anyway — thousands of healthy traces crowd
+out the three that explain the outage. The flight recorder is the
+**retention policy** over those trees, not a second store —
+**tail-based retention** decides *after* a request completes whether
+its trace is worth keeping:
 
 * ``error`` / ``degraded`` / ``shed`` outcomes are **always** retained;
 * requests at or above the rolling p90 duration (and strictly above the

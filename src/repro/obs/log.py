@@ -27,12 +27,10 @@ __all__ = [
     "events",
     "reset",
     "set_stream",
-    "set_capacity",
-    "capacity",
     "format_record",
 ]
 
-#: Default event retention — a ring buffer so a long-lived serving
+#: Event retention — a fixed-size ring buffer so a long-lived serving
 #: process holds bounded telemetry state (see DESIGN.md §9).
 DEFAULT_CAPACITY = 10_000
 
@@ -44,18 +42,6 @@ def set_stream(stream: IO[str] | None) -> None:
     """Redirect emitted lines (None restores the default stderr)."""
     global _STREAM
     _STREAM = stream
-
-
-def set_capacity(n: int) -> None:
-    """Resize the event ring buffer, keeping the newest records."""
-    if n < 1:
-        raise ValueError("capacity must be >= 1")
-    global _BUFFER
-    _BUFFER = deque(_BUFFER, maxlen=n)
-
-
-def capacity() -> int:
-    return _BUFFER.maxlen or DEFAULT_CAPACITY
 
 
 def format_record(record: dict) -> str:

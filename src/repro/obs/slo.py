@@ -21,7 +21,7 @@ Definitions (DESIGN.md §9):
   arrive exactly at the budgeted rate; above 1.0 the budget depletes.
 
 The window is a ring buffer (default 2048 requests) so a long-lived
-serving process holds bounded state, mirroring the event/span caps.
+serving process holds bounded state, like the event ring.
 :meth:`SloTracker.record` keeps the good and per-outcome tallies
 current, so :meth:`~SloTracker.burn_rate` and
 :meth:`~SloTracker.attainment` cost O(1) whatever the window length;

@@ -7,9 +7,9 @@ Usage::
             ...
         sp.set(detected=int(detected.sum()))
 
-Spans nest via a thread-local stack; completed *root* spans land in a
-ring buffer (bounded retention, default 10k roots, resizable with
-:meth:`Tracer.set_capacity`) and export as plain dicts / JSON. Each
+Spans nest via a thread-local stack. The tracer keeps no span store of
+its own: a completed *root* span goes to the request it closed in and to
+every open :meth:`Tracer.capture` block, and is dropped otherwise. Each
 span records wall time and — when :mod:`tracemalloc` is tracing — an
 estimate of net memory allocated inside the span, which for this numpy
 codebase is dominated by array allocations (numpy routes its buffers
@@ -24,10 +24,12 @@ into worker threads), the ``request_id`` of the active
 (:func:`repro.obs.export.to_chrome_trace`) needs to lay spans out on
 per-thread tracks.
 
-Wiring: a root span opened inside an ``obs.request(...)`` scope is also
+Wiring: a root span opened inside an ``obs.request(...)`` scope is
 appended to that request's ``RequestContext.roots`` (worker threads
 reach the same object through ``copy_context()``); the flight recorder
-judges those trees when the request ends and keeps no copy of its own.
+judges those trees when the request ends. A caller that wants whole
+trees — ``devicescope profile``, ``devicescope obs --trace-out``, a
+test — collects them with ``with obs.tracer.capture() as captured:``.
 
 When observability is disabled (:mod:`repro.obs.config`), ``span()``
 returns a shared no-op context manager: one flag check, no allocation,
@@ -38,15 +40,15 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
 import threading
 import time
 import tracemalloc
-from collections import deque
+from contextlib import contextmanager
+from typing import Iterator
 
 from . import config, context
 
-__all__ = ["Span", "Tracer", "NOOP_SPAN"]
+__all__ = ["Span", "Capture", "Tracer", "NOOP_SPAN"]
 
 #: Process-unique span id allocation (atomic under the GIL).
 _SPAN_IDS = itertools.count(1)
@@ -211,29 +213,53 @@ class _SpanContext:
         return False
 
 
+class Capture:
+    """The root spans that closed, on any thread, while one
+    :meth:`Tracer.capture` block ran — in closing order."""
+
+    __slots__ = ("_roots",)
+
+    def __init__(self) -> None:
+        self._roots: list[Span] = []
+
+    def roots(self) -> list[Span]:
+        """Captured root spans, oldest first."""
+        return list(self._roots)
+
+    def find(self, name: str) -> Span | None:
+        """Newest span anywhere in the captured trees with this name."""
+        for root in reversed(self.roots()):
+            found = root.find(name)
+            if found is not None:
+                return found
+        return None
+
+    def all_spans(self) -> list[Span]:
+        """Every captured span (roots and descendants), flattened."""
+        return [span for root in self.roots() for span in root.walk()]
+
+    def request_spans(self, request_id: str) -> list[Span]:
+        """All spans stamped with ``request_id`` — the request's tree,
+        flattened (worker-thread spans included; reassemble parent/child
+        structure through ``span_id``/``parent_id``)."""
+        return [
+            span
+            for span in self.all_spans()
+            if span.request_id == request_id
+        ]
+
+    def to_dicts(self) -> list[dict]:
+        return [root.to_dict() for root in self.roots()]
+
+
 class Tracer:
-    """Owns the thread-local span stacks and the root-span ring buffer."""
+    """Owns the thread-local span stacks and files each closed root span
+    with its request and with every open :meth:`capture`."""
 
-    #: Default root-span retention — bounds telemetry memory in a
-    #: long-lived serving process (each root is one request-ish tree).
-    DEFAULT_MAX_ROOTS = 10_000
-
-    def __init__(self, max_roots: int = DEFAULT_MAX_ROOTS):
-        if max_roots < 1:
-            raise ValueError("max_roots must be >= 1")
-        self.max_roots = max_roots
+    def __init__(self) -> None:
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._roots: deque[Span] = deque(maxlen=max_roots)
-        self._dropped = 0
-
-    def set_capacity(self, max_roots: int) -> None:
-        """Resize the root ring buffer, keeping the newest roots."""
-        if max_roots < 1:
-            raise ValueError("max_roots must be >= 1")
-        with self._lock:
-            self.max_roots = max_roots
-            self._roots = deque(self._roots, maxlen=max_roots)
+        self._captures: tuple[Capture, ...] = ()
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -242,6 +268,21 @@ class Tracer:
         if not config._ENABLED:
             return NOOP_SPAN
         return _SpanContext(self, name, attrs)
+
+    @contextmanager
+    def capture(self) -> Iterator[Capture]:
+        """Collect every root span that closes, on any thread, while the
+        block runs. Captures nest; each sees every root."""
+        captured = Capture()
+        with self._lock:
+            self._captures += (captured,)
+        try:
+            yield captured
+        finally:
+            with self._lock:
+                self._captures = tuple(
+                    c for c in self._captures if c is not captured
+                )
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -260,57 +301,17 @@ class Tracer:
             stack.remove(span)
         if stack:
             stack[-1].children.append(span)
-        else:
+        elif self._captures:
+            # One lock for both: a request's roots keep the order every
+            # capture sees them in.
             with self._lock:
-                if len(self._roots) == self._roots.maxlen:
-                    self._dropped += 1
-                self._roots.append(span)
-                if request is not None:  # same order as the ring
+                if request is not None:
                     request.roots.append(span)
-
-    # -- retrieval / export -----------------------------------------------
-
-    def roots(self) -> list[Span]:
-        """Completed root spans, oldest first."""
-        with self._lock:
-            return list(self._roots)
-
-    @property
-    def dropped(self) -> int:
-        """Roots evicted from the ring buffer since the last reset."""
-        with self._lock:
-            return self._dropped
-
-    def find(self, name: str) -> Span | None:
-        """Newest span anywhere in the retained trees with this name."""
-        for root in reversed(self.roots()):
-            found = root.find(name)
-            if found is not None:
-                return found
-        return None
-
-    def all_spans(self) -> list[Span]:
-        """Every retained span (roots and descendants), flattened."""
-        return [span for root in self.roots() for span in root.walk()]
-
-    def request_spans(self, request_id: str) -> list[Span]:
-        """All spans stamped with ``request_id`` — the request's tree,
-        flattened (worker-thread spans included; reassemble parent/child
-        structure through ``span_id``/``parent_id``)."""
-        return [
-            span
-            for span in self.all_spans()
-            if span.request_id == request_id
-        ]
-
-    def to_dicts(self) -> list[dict]:
-        return [root.to_dict() for root in self.roots()]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dicts(), indent=indent)
+                for captured in self._captures:
+                    captured._roots.append(span)
+        elif request is not None:
+            request.roots.append(span)
 
     def reset(self) -> None:
-        with self._lock:
-            self._roots.clear()
-            self._dropped = 0
+        """Forget every thread's open-span stack."""
         self._local = threading.local()

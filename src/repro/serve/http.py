@@ -158,8 +158,13 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> DeviceScopeService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def log_request(self, code="-", size="-") -> None:
+        # Each response's completion record already logs a ``request``
+        # event with route, tenant, status and duration.
+        pass
+
     def log_message(self, format: str, *args) -> None:
-        # stderr belongs to the operator; access logs go to obs.
+        # stderr belongs to the operator; error lines go to obs.
         if obs.enabled():
             obs.log.event("serve.access", line=format % args)
 

@@ -32,11 +32,12 @@ def test_disabled_request_is_shared_noop():
 
 def test_request_stamps_spans_and_events():
     obs.enable()
-    with obs.request(kind="view", house="h1") as req:
-        with obs.span("work"):
-            obs.log.event("inner", n=1)
+    with obs.tracer.capture() as captured:
+        with obs.request(kind="view", house="h1") as req:
+            with obs.span("work"):
+                obs.log.event("inner", n=1)
     assert req.request_id == "view-000001"
-    span = obs.tracer.find("work")
+    span = captured.find("work")
     assert span.request_id == req.request_id
     inner = obs.log.events("inner")[0]
     assert inner["request_id"] == req.request_id
@@ -64,12 +65,13 @@ def test_request_records_histogram_counter_and_slo():
 
 def test_nested_request_joins_the_outer_scope():
     obs.enable()
-    with obs.request(kind="outer") as outer:
-        with obs.request(kind="inner") as inner:
-            assert inner is outer
-            with obs.span("deep"):
-                pass
-    assert obs.tracer.find("deep").request_id == outer.request_id
+    with obs.tracer.capture() as captured:
+        with obs.request(kind="outer") as outer:
+            with obs.request(kind="inner") as inner:
+                assert inner is outer
+                with obs.span("deep"):
+                    pass
+    assert captured.find("deep").request_id == outer.request_id
     # Only the outermost scope records a completed request.
     assert len(obs.log.events("request")) == 1
     assert len(obs.slo_tracker) == 1
@@ -98,11 +100,12 @@ def test_mark_degraded_never_upgrades_error():
 
 def test_span_parent_child_ids_form_a_tree():
     obs.enable()
-    with obs.span("root"):
-        with obs.span("child"):
-            with obs.span("grandchild"):
-                pass
-    root = obs.tracer.find("root")
+    with obs.tracer.capture() as captured:
+        with obs.span("root"):
+            with obs.span("child"):
+                with obs.span("grandchild"):
+                    pass
+    root = captured.find("root")
     child = root.children[0]
     grandchild = child.children[0]
     assert root.parent_id is None
@@ -117,18 +120,18 @@ def test_worker_thread_spans_carry_the_request_id():
     obs.enable()
     model = _tiny_camal(workers=2)
     watts = np.random.default_rng(0).uniform(0, 3000, (2, 96))
-    with obs.request(kind="view") as req:
+    with obs.tracer.capture() as captured, obs.request(kind="view") as req:
         model.localize_watts(watts)
-    spans = obs.tracer.all_spans()
+    spans = captured.all_spans()
     assert len(spans) >= 8  # all six stages + members, at minimum
     assert all(s.request_id == req.request_id for s in spans)
     members = [s for s in spans if s.name == "ensemble.member_forward"]
     assert len(members) == 2
     # Cross-thread parent linkage: member spans point at the dispatching
     # ensemble_forward span even though they are roots on their thread.
-    forward = obs.tracer.find("camal.ensemble_forward")
+    forward = captured.find("camal.ensemble_forward")
     assert {m.parent_id for m in members} == {forward.span_id}
-    assert obs.tracer.request_spans(req.request_id) == spans
+    assert captured.request_spans(req.request_id) == spans
 
 
 def test_playground_view_telemetry_is_fully_attributed():
@@ -142,10 +145,10 @@ def test_playground_view_telemetry_is_fully_attributed():
     playground.state.selected_appliances = ["kettle"]
     playground.select_window("6h")
     obs.enable()
-    with obs.request(kind="click") as req:
+    with obs.tracer.capture() as captured, obs.request(kind="click") as req:
         playground.view()
         playground.view()  # revisit → cache hit, same request
-    spans = obs.tracer.all_spans()
+    spans = captured.all_spans()
     assert spans and all(s.request_id == req.request_id for s in spans)
     events = obs.log.events()
     assert events and all(
@@ -202,7 +205,7 @@ def test_reset_yields_a_clean_slate():
         with obs.span("work"):
             obs.warning("w", k=1)
     obs.reset()
-    assert obs.tracer.roots() == []
+    assert obs.flight_recorder.stats()["seen"] == 0
     assert obs.log.events() == []
     assert len(obs.slo_tracker) == 0
     assert obs.slo_tracker.snapshot()["count"] == 0
@@ -214,28 +217,14 @@ def test_reset_yields_a_clean_slate():
     assert req.request_id == "view-000001"
 
 
-def test_ring_buffer_capacities_are_configurable():
+def test_event_ring_keeps_the_newest_default_capacity_records():
     obs.enable()
-    obs.log.set_capacity(4)
-    try:
-        for i in range(10):
-            obs.log.event("e", i=i)
-        assert len(obs.log.events()) == 4
-        assert obs.log.events()[0]["i"] == 6
-        assert obs.log.capacity() == 4
-    finally:
-        obs.log.set_capacity(obs.log.DEFAULT_CAPACITY)
-    tracer = obs.Tracer(max_roots=8)
-    assert tracer.max_roots == 8
-    tracer.set_capacity(2)
-    with tracer.span("a"):
-        pass
-    with tracer.span("b"):
-        pass
-    with tracer.span("c"):
-        pass
-    assert [r.name for r in tracer.roots()] == ["b", "c"]
-    assert obs.tracer.max_roots == obs.Tracer.DEFAULT_MAX_ROOTS == 10_000
+    for i in range(obs.log.DEFAULT_CAPACITY + 5):
+        obs.log.event("e", i=i)
+    events = obs.log.events()
+    assert len(events) == obs.log.DEFAULT_CAPACITY
+    assert events[0]["i"] == 5
+    assert events[-1]["i"] == obs.log.DEFAULT_CAPACITY + 4
 
 
 def test_retry_attempts_carry_the_request_id():

@@ -274,7 +274,9 @@ def test_omitting_slo_changes_nothing():
 
 
 def test_empty_tracer_yields_valid_empty_trace():
-    trace = to_chrome_trace(obs.Tracer())
+    with obs.tracer.capture() as captured:
+        pass
+    trace = to_chrome_trace(captured)
     assert trace == {"traceEvents": [], "displayTimeUnit": "ms"}
     json.dumps(trace)
 
@@ -288,11 +290,11 @@ def test_camal_stage_spans_each_produce_a_trace_event():
     ensemble.eval()
     model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0), workers=2)
     obs.enable()
-    with obs.request(kind="view") as req:
+    with obs.tracer.capture() as captured, obs.request(kind="view") as req:
         model.localize_watts(
             np.random.default_rng(0).uniform(0, 3000, (2, 96))
         )
-    trace = to_chrome_trace(obs.tracer)
+    trace = to_chrome_trace(captured)
     events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     names = [e["name"] for e in events]
     for stage in (
@@ -326,10 +328,11 @@ def test_camal_stage_spans_each_produce_a_trace_event():
 
 def test_trace_timestamps_are_normalized_and_nested():
     obs.enable()
-    with obs.span("outer"):
-        with obs.span("inner"):
-            pass
-    trace = to_chrome_trace(obs.tracer)
+    with obs.tracer.capture() as captured:
+        with obs.span("outer"):
+            with obs.span("inner"):
+                pass
+    trace = to_chrome_trace(captured)
     by_name = {
         e["name"]: e for e in trace["traceEvents"] if e["ph"] == "X"
     }
@@ -342,9 +345,10 @@ def test_trace_timestamps_are_normalized_and_nested():
 
 def test_trace_accepts_to_dicts_export():
     obs.enable()
-    with obs.span("a", n=3):
-        pass
-    trace = to_chrome_trace(obs.tracer.to_dicts())
+    with obs.tracer.capture() as captured:
+        with obs.span("a", n=3):
+            pass
+    trace = to_chrome_trace(captured.to_dicts())
     (event,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert event["name"] == "a" and event["args"]["n"] == 3
 

@@ -197,8 +197,8 @@ def test_obs_reset_tears_down_the_flight_ring():
 
 
 def test_kept_entry_stores_each_request_tree_once():
-    """The entry's spans are the tracer's own roots for the request —
-    worker-thread member forwards included — serialized once."""
+    """The entry's spans are the request's own root spans — worker-thread
+    member forwards included — serialized once."""
     from repro.core import CamAL
     from repro.datasets import Standardizer
     from repro.models import ResNetEnsemble
@@ -208,12 +208,12 @@ def test_kept_entry_stores_each_request_tree_once():
     ensemble.eval()
     model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0), workers=2)
     watts = np.random.default_rng(0).uniform(0, 3000, (2, 96))
-    with obs.request(kind="serve") as req:
+    with obs.tracer.capture() as captured, obs.request(kind="serve") as req:
         req.set_outcome("degraded")  # always kept
         model.localize_watts(watts)
     rid = req.request_id
     (entry,) = obs.flight_recorder.entries()
-    roots = [r for r in obs.tracer.roots() if r.request_id == rid]
+    roots = [r for r in captured.roots() if r.request_id == rid]
     assert entry["spans"] == [r.to_dict() for r in roots]
     names = {r.name for r in roots}
     assert "ensemble.member_forward" in names  # worker-thread roots

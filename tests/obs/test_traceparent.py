@@ -100,13 +100,16 @@ def test_new_ids_are_well_formed_and_distinct():
 
 def test_request_binds_supplied_trace_identity():
     obs.enable()
-    with obs.request(kind="view", trace_id=TRACE, parent_span_id=PARENT) as req:
-        assert req.trace_id == TRACE
-        assert req.parent_span_id == PARENT
-        assert len(req.span_id_hex) == 16
-        with obs.span("work"):
-            pass
-    span = obs.tracer.find("work")
+    with obs.tracer.capture() as captured:
+        with obs.request(
+            kind="view", trace_id=TRACE, parent_span_id=PARENT
+        ) as req:
+            assert req.trace_id == TRACE
+            assert req.parent_span_id == PARENT
+            assert len(req.span_id_hex) == 16
+            with obs.span("work"):
+                pass
+    span = captured.find("work")
     assert span.trace_id == TRACE
     done = obs.log.events("request")[0]
     assert done["trace_id"] == TRACE
@@ -114,12 +117,12 @@ def test_request_binds_supplied_trace_identity():
 
 def test_request_generates_trace_identity_when_absent():
     obs.enable()
-    with obs.request(kind="view") as req:
+    with obs.tracer.capture() as captured, obs.request(kind="view") as req:
         assert len(req.trace_id) == 32
         assert req.parent_span_id is None
         with obs.span("work"):
             pass
-    assert obs.tracer.find("work").trace_id == req.trace_id
+    assert captured.find("work").trace_id == req.trace_id
 
 
 def test_worker_fanout_spans_carry_the_trace_id():
@@ -136,16 +139,17 @@ def test_worker_fanout_spans_carry_the_trace_id():
     )
     watts = np.random.default_rng(0).uniform(0, 3000, size=(1, 512))
     obs.enable()
-    with obs.request(kind="view", trace_id=TRACE):
-        model.localize_watts(watts)
+    with obs.tracer.capture() as captured:
+        with obs.request(kind="view", trace_id=TRACE):
+            model.localize_watts(watts)
     def walk(span):
         yield span
         for child in span.children:
             yield from walk(child)
 
-    spans = [s for root in obs.tracer.roots() for s in walk(root)]
+    spans = [s for root in captured.roots() for s in walk(root)]
     assert spans, "no spans captured"
     members = [s for s in spans if s.name == "ensemble.member_forward"]
     assert members, "worker fan-out spans missing"
     assert all(m.trace_id == TRACE for m in members)
-    assert all(r.trace_id == TRACE for r in obs.tracer.roots())
+    assert all(r.trace_id == TRACE for r in captured.roots())

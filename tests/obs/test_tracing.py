@@ -1,30 +1,32 @@
-"""Tracer: nesting, exception safety, retention, disabled-mode no-op."""
+"""Tracer: nesting, exception safety, capture, disabled-mode no-op."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs.tracing import NOOP_SPAN, Tracer
+from repro.obs.tracing import NOOP_SPAN
 
 
 def test_disabled_span_is_shared_noop():
     assert not obs.enabled()
     assert obs.span("anything", k=1) is NOOP_SPAN
-    with obs.span("anything") as sp:
-        sp.set(ignored=True)  # no-op API parity with real spans
-    assert obs.tracer.roots() == []
+    with obs.tracer.capture() as captured:
+        with obs.span("anything") as sp:
+            sp.set(ignored=True)  # no-op API parity with real spans
+    assert captured.roots() == []
 
 
 def test_nested_spans_build_a_tree():
     obs.enable()
-    with obs.span("root", task="t") as root:
-        with obs.span("child_a"):
-            with obs.span("grandchild"):
+    with obs.tracer.capture() as captured:
+        with obs.span("root", task="t") as root:
+            with obs.span("child_a"):
+                with obs.span("grandchild"):
+                    pass
+            with obs.span("child_b"):
                 pass
-        with obs.span("child_b"):
-            pass
-    roots = obs.tracer.roots()
+    roots = captured.roots()
     assert [r.name for r in roots] == ["root"]
     assert [c.name for c in roots[0].children] == ["child_a", "child_b"]
     assert roots[0].children[0].children[0].name == "grandchild"
@@ -34,65 +36,68 @@ def test_nested_spans_build_a_tree():
 
 def test_span_set_attaches_attributes():
     obs.enable()
-    with obs.span("s") as sp:
-        sp.set(n=3)
-    assert obs.tracer.find("s").attrs["n"] == 3
+    with obs.tracer.capture() as captured:
+        with obs.span("s") as sp:
+            sp.set(n=3)
+    assert captured.find("s").attrs["n"] == 3
 
 
 def test_exception_closes_span_and_records_error():
     obs.enable()
-    with pytest.raises(ValueError, match="boom"):
-        with obs.span("outer"):
-            with obs.span("inner"):
-                raise ValueError("boom")
-    outer = obs.tracer.find("outer")
-    assert outer is not None
-    assert outer.error is not None and "boom" in outer.error
-    assert outer.children[0].error is not None
-    # The stack unwound cleanly: a new span is a fresh root, not a child.
-    with obs.span("after"):
-        pass
-    assert [r.name for r in obs.tracer.roots()] == ["outer", "after"]
-
-
-def test_ring_buffer_bounds_retention():
-    tracer = Tracer(max_roots=3)
-    obs.enable()
-    for i in range(5):
-        with tracer.span(f"s{i}"):
+    with obs.tracer.capture() as captured:
+        with pytest.raises(ValueError, match="boom"):
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    raise ValueError("boom")
+        outer = captured.find("outer")
+        assert outer is not None
+        assert outer.error is not None and "boom" in outer.error
+        assert outer.children[0].error is not None
+        # The stack unwound cleanly: a new span is a fresh root, not a child.
+        with obs.span("after"):
             pass
-    assert [r.name for r in tracer.roots()] == ["s2", "s3", "s4"]
-    assert tracer.dropped == 2
+    assert [r.name for r in captured.roots()] == ["outer", "after"]
 
 
 def test_find_returns_newest_match():
     obs.enable()
-    for i in range(2):
-        with obs.span("run") as sp:
-            sp.set(i=i)
-    assert obs.tracer.find("run").attrs["i"] == 1
-    assert obs.tracer.find("missing") is None
+    with obs.tracer.capture() as captured:
+        for i in range(2):
+            with obs.span("run") as sp:
+                sp.set(i=i)
+    assert captured.find("run").attrs["i"] == 1
+    assert captured.find("missing") is None
 
 
 def test_json_export_round_trips():
     obs.enable()
-    with obs.span("root", n=2):
-        with obs.span("leaf"):
-            pass
-    payload = json.loads(obs.tracer.to_json())
+    with obs.tracer.capture() as captured:
+        with obs.span("root", n=2):
+            with obs.span("leaf"):
+                pass
+    payload = json.loads(json.dumps(captured.to_dicts()))
     assert payload[-1]["name"] == "root"
     assert payload[-1]["attrs"] == {"n": 2}
     assert payload[-1]["children"][0]["name"] == "leaf"
     assert payload[-1]["duration_s"] >= 0.0
 
 
-def test_reset_clears_roots():
+def test_capture_collects_only_roots_closed_while_open():
     obs.enable()
-    with obs.span("s"):
+    with obs.span("before"):
         pass
-    obs.tracer.reset()
-    assert obs.tracer.roots() == []
-    assert obs.tracer.dropped == 0
+    with obs.tracer.capture() as outer:
+        with obs.span("a"):
+            pass
+        with obs.tracer.capture() as inner:
+            with obs.span("b"):
+                with obs.span("b.child"):
+                    pass
+    with obs.span("after"):
+        pass
+    assert [r.name for r in outer.roots()] == ["a", "b"]
+    assert [r.name for r in inner.roots()] == ["b"]
+    assert [s.name for s in outer.all_spans()] == ["a", "b", "b.child"]
 
 
 def test_camal_records_nothing_when_disabled():
@@ -107,15 +112,18 @@ def test_camal_records_nothing_when_disabled():
     ensemble = ResNetEnsemble((5,), n_filters=(4, 8, 8), seed=0)
     ensemble.eval()
     model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
-    model.localize_watts(np.random.default_rng(0).uniform(0, 3000, (2, 64)))
-    assert obs.tracer.roots() == []
+    with obs.tracer.capture() as captured:
+        model.localize_watts(
+            np.random.default_rng(0).uniform(0, 3000, (2, 64))
+        )
+    assert captured.roots() == []
     assert obs.registry.get("camal.detection_probability") is None
     assert obs.log.events() == []
 
 
 def test_request_roots_match_the_ring_under_thread_contention():
     """Roots closed concurrently on many threads all land on their
-    request, in the same order as the tracer ring."""
+    request, in the same order as an open capture sees them."""
     import contextvars
     import sys
     import threading
@@ -124,7 +132,7 @@ def test_request_roots_match_the_ring_under_thread_contention():
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with obs.request(kind="serve") as req:
+        with obs.tracer.capture() as captured, obs.request(kind="serve") as req:
 
             def work():
                 for i in range(50):
@@ -144,5 +152,5 @@ def test_request_roots_match_the_ring_under_thread_contention():
         sys.setswitchinterval(previous)
     assert len(req.roots) == 400
     assert req.roots == [
-        r for r in obs.tracer.roots() if r.request_id == req.request_id
+        r for r in captured.roots() if r.request_id == req.request_id
     ]

@@ -238,6 +238,25 @@ def test_every_status_path_is_one_record(
         assert bool(entry["spans"]) == admitted
 
 
+def test_one_log_record_per_response(make_server):
+    """Each response leaves its completion's ``request`` event and no
+    access line; the handler's error lines are still recorded."""
+    server = make_server()
+    for _ in range(5):
+        assert exchange(server, "GET", "/houses")[0] == 200
+    assert len(obs.log.events("request")) == 5
+    assert obs.log.events("serve.access") == []
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall(b"GARBAGE\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert b"Error code explanation: 400" in reply
+    (line,) = [e["line"] for e in obs.log.events("serve.access")]
+    assert "400" in line and "GARBAGE" in line
+
+
 def test_operator_plane_adds_no_record(make_server):
     server = make_server()
     assert exchange(server, "GET", "/houses")[0] == 200
@@ -290,15 +309,16 @@ def test_each_served_request_mints_one_span_id(
     monkeypatch.setattr(
         obs_context, "new_span_id_hex", lambda: minted.append(1) or mint()
     )
-    status, headers, _ = exchange(
-        server, "POST", "/houses/h1/localize",
-        {"appliance": "kettle", "start": 0, "length": 128},
-    )
+    with obs.tracer.capture() as captured:
+        status, headers, _ = exchange(
+            server, "POST", "/houses/h1/localize",
+            {"appliance": "kettle", "start": 0, "length": 128},
+        )
     assert status == 200
     assert len(minted) == 1
     # The request scope's spans carry the id the response names.
     rid = headers["X-Request-Id"]
-    assert any(r.request_id == rid for r in obs.tracer.roots())
+    assert any(r.request_id == rid for r in captured.roots())
 
 
 def test_chrome_export_downloads_the_retained_traces(make_server, monkeypatch):

@@ -1,11 +1,15 @@
 """Service-layer semantics, transport-free: CRUD, ingestion, inference
 through the cache, and the shed / degraded cache-exclusion contracts."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import flight
 from repro.obs.slo import SloTracker
+from repro.obs.tracing import Span
 from repro.serve import AdmissionController, DeviceScopeService, TenantRegistry
 from repro.serve.service import ServiceError
 
@@ -429,6 +433,39 @@ class TestHealthPayload:
         assert text.endswith("# EOF\n")
         assert "obs_requests_total" in text
         assert "devicescope_slo" in text
+
+
+def _live_spans() -> int:
+    gc.collect()
+    return sum(isinstance(o, Span) for o in gc.get_objects())
+
+
+def test_serving_retains_no_span_trees(service, kettle_watts, monkeypatch):
+    """With no capture open, a served request's span trees live only as
+    long as its request: the flight recorder judges them and keeps at
+    most a serialized copy. (``Span`` has ``__slots__`` and no
+    ``__weakref__``, so live spans are counted through the collector.)"""
+    monkeypatch.setattr(
+        flight, "recorder", flight.FlightRecorder(sample_rate=0.0)
+    )
+    obs.enable()
+    make_house(service, watts=kettle_watts)
+    attach(service)
+
+    def localize(i):
+        body = {"appliance": "kettle", "start": i % 64, "length": 128}
+        status, _, _ = run(
+            service, "localize", lambda t: service.localize(t, "h1", body)
+        )
+        assert status == 200
+
+    for i in range(5):
+        localize(i)
+    after_warmup = _live_spans()
+    for i in range(5, 55):
+        localize(i)
+    assert flight.recorder.stats()["seen"] >= 55
+    assert _live_spans() <= after_warmup
 
 
 def test_service_error_payload():

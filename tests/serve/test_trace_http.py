@@ -213,12 +213,13 @@ class TestHeadersOnEveryPath:
 class TestSpanPropagation:
     def test_client_trace_id_reaches_worker_fanout_spans(self, server):
         seed_house(server.url)
-        status, _, headers = rpc(
-            server.url, "POST", "/houses/h1/localize",
-            {"appliance": "kettle", "start": 0, "length": 128},
-            tenant="trace-a",
-            headers={"traceparent": f"00-{TRACE}-{PARENT}-01"},
-        )
+        with obs.tracer.capture() as captured:
+            status, _, headers = rpc(
+                server.url, "POST", "/houses/h1/localize",
+                {"appliance": "kettle", "start": 0, "length": 128},
+                tenant="trace-a",
+                headers={"traceparent": f"00-{TRACE}-{PARENT}-01"},
+            )
         assert status == 200
         rid = headers["X-Request-Id"]
 
@@ -229,7 +230,7 @@ class TestSpanPropagation:
 
         spans = [
             s
-            for root in obs.tracer.roots()
+            for root in captured.roots()
             if root.request_id == rid
             for s in walk(root)
         ]
