@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Playground view requests to drive through the session",
     )
     obs_cmd.add_argument(
-        "--workers", type=int, default=2,
-        help="fast-path member fan-out threads (context propagation demo)",
-    )
-    obs_cmd.add_argument(
         "--openmetrics", action="store_true",
         help="print OpenMetrics text exposition on stdout (scrape-ready)",
     )
@@ -218,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--appliances", nargs="*", default=None,
         choices=sorted(APPLIANCE_NAMES), metavar="APPLIANCE",
         help="appliance models to serve (default: --appliance)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="fast-path member fan-out threads per ensemble sweep",
     )
     serve.add_argument(
         "--objective-ms", type=float, default=250.0,
@@ -599,7 +591,7 @@ def cmd_faultcheck(args) -> int:
     return 0 if not failed else 1
 
 
-def _telemetry_playground(args, workers: int):
+def _telemetry_playground(args):
     """A training-free Playground (untrained ensemble over a seeded
     synthetic dataset) — the shared workload behind ``obs``/``faultcheck``
     style smokes: it exercises the exact serving hot path in seconds."""
@@ -618,7 +610,7 @@ def _telemetry_playground(args, workers: int):
     scaler = Standardizer.fit(
         np.nan_to_num(dataset.houses[0].aggregate, nan=0.0)[None, :]
     )
-    model = CamAL(ensemble, scaler, workers=workers)
+    model = CamAL(ensemble, scaler)
     playground = Playground(dataset, {args.appliance: model})
     playground.state.selected_appliances = [args.appliance]
     playground.select_window(args.window)
@@ -689,7 +681,7 @@ def cmd_obs(args) -> int:
         return 0
 
     sleep = _WATCH_SLEEP if _WATCH_SLEEP is not None else time_mod.sleep
-    playground = _telemetry_playground(args, workers=max(args.workers, 1))
+    playground = _telemetry_playground(args)
     was_enabled = obs.enabled()
     obs.enable()
     obs.reset()
@@ -1020,7 +1012,6 @@ def cmd_serve(args) -> int:
         appliances=appliances,
         profile=args.profile,
         seed=args.seed,
-        workers=args.workers,
         # Per-tenant trackers must judge latency against the same bar
         # as the global tracker set above, or /health and per-tenant
         # admission would use a different objective than the operator

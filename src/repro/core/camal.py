@@ -258,9 +258,6 @@ class CamAL:
         and to run the attention step in standardized space.
     config:
         Inference configuration.
-    workers:
-        Optional thread fan-out across ensemble members (numpy kernels
-        release the GIL). ``None``/``1`` stays sequential.
     """
 
     def __init__(
@@ -268,12 +265,10 @@ class CamAL:
         ensemble: ResNetEnsemble,
         scaler: Standardizer,
         config: CamALConfig | None = None,
-        workers: int | None = None,
     ):
         self.ensemble = ensemble
         self.scaler = scaler
         self.config = config or CamALConfig()
-        self.workers = workers
 
     # -- training ----------------------------------------------------------
 
@@ -381,7 +376,7 @@ class CamAL:
     def _sweep(self, x: np.ndarray) -> CamALResult:
         """Steps 1-6 for one chunk: one backbone pass per member."""
         with inference_mode(), obs.span("camal.ensemble_forward"):
-            outputs = self.ensemble.member_outputs(x, workers=self.workers)
+            outputs = self.ensemble.member_outputs(x)
         return self._from_outputs(x, outputs)
 
     def _from_outputs(
@@ -505,7 +500,7 @@ class CamAL:
             smooth_window=self.config.smooth_window,
             min_on_duration=self.config.min_on_duration,
         )
-        return CamAL(self.ensemble, self.scaler, config, workers=self.workers)
+        return CamAL(self.ensemble, self.scaler, config)
 
     def __repr__(self) -> str:
         kernels = ",".join(str(k) for k in self.ensemble.kernel_sizes)

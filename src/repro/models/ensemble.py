@@ -8,10 +8,7 @@ a small-kernel member sees spikes, a large-kernel member sees cycles.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,46 +84,11 @@ class ResNetEnsemble(nn.Module):
             ]
         )
         self.serial = next(_SERIALS)
-        self._init_pool_state()
 
     def load_state_dict(self, state: dict) -> None:
         """Load weights; the ensemble takes a fresh :attr:`serial`."""
         super().load_state_dict(state)
         self.serial = next(_SERIALS)
-
-    def _init_pool_state(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_workers = 0
-        self._pool_lock = threading.Lock()
-
-    def _executor(self, workers: int) -> ThreadPoolExecutor:
-        """The ensemble's persistent member-fanout pool, grown on demand.
-
-        Serving sweeps call :meth:`member_outputs` once per request;
-        constructing a ``ThreadPoolExecutor`` (and its worker threads)
-        per call is measurable churn, so one pool lives for the
-        ensemble's lifetime and is resized upward if a caller asks for
-        more fan-out. Shut it down via :meth:`close` (wired into the
-        serve layer's ``ModelBank.close``); a closed ensemble lazily
-        recreates the pool if used again.
-        """
-        with self._pool_lock:
-            if self._pool is None or self._pool_workers < workers:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="ensemble-member",
-                )
-                self._pool_workers = workers
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the member-fanout pool (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool, self._pool_workers = self._pool, None, 0
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -150,55 +112,21 @@ class ResNetEnsemble(nn.Module):
     # -- single pass (detection + CAM from one backbone sweep) -------------
 
     def member_outputs(
-        self, x: np.ndarray, workers: int | None = None
+        self, x: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One ``(features, logits)`` pair per member, one backbone pass each.
 
         This is the primitive behind CamAL inference: everything it
         needs — detection probabilities, per-member probabilities, and
         CAMs — derives from these pairs, so the ResNet backbone runs
-        exactly once per member instead of once per consumer.
-
-        ``workers > 1`` fans members out across a thread pool. numpy's
-        einsum/matmul kernels release the GIL, so distinct members make
-        real parallel progress; results are returned in member order
-        regardless of completion order. When observability is enabled,
-        each dispatched member runs inside a copy of the caller's
-        :mod:`contextvars` context, so worker-thread spans keep the
-        active ``obs.request`` id and parent span.
+        exactly once per member instead of once per consumer. Members
+        run in order on the calling thread.
         """
-        members = list(self.members)
-        if workers is None or workers <= 1 or len(members) <= 1:
-            return [
-                self._member_forward(i, member, x)
-                for i, member in enumerate(members)
-            ]
-        pool = self._executor(min(workers, len(members)))
-        if obs.enabled():
-            # Worker threads start from an empty context; one copy
-            # per task (a Context cannot be entered concurrently).
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self._member_forward,
-                    i,
-                    member,
-                    x,
-                )
-                for i, member in enumerate(members)
-            ]
-        else:
-            futures = [
-                pool.submit(self._member_forward, i, member, x)
-                for i, member in enumerate(members)
-            ]
-        return [future.result() for future in futures]
-
-    def _member_forward(
-        self, index: int, member: ResNetTSC, x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        with obs.span("ensemble.member_forward", member=index):
-            return member.forward_features(x)
+        outputs = []
+        for index, member in enumerate(self.members):
+            with obs.span("ensemble.member_forward", member=index):
+                outputs.append(member.forward_features(x))
+        return outputs
 
     # -- member selection (paper: "selected the networks that best
     #    detected specific appliances") ---------------------------------------
@@ -229,5 +157,4 @@ class ResNetEnsemble(nn.Module):
         pruned.n_filters = self.n_filters
         pruned.members = nn.ModuleList([self.members[i] for i in order])
         pruned.serial = next(_SERIALS)
-        pruned._init_pool_state()
         return pruned

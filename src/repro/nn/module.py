@@ -31,29 +31,28 @@ __all__ = ["Module", "inference_mode", "is_inference"]
 # masks, normalized activations, ...). On the inference hot path those
 # caches are pure overhead: CamAL never backpropagates when localizing a
 # window, yet every forward pass used to retain tensors several times the
-# size of the input. ``inference_mode()`` is a process-wide flag — layers
-# consult :func:`is_inference` and skip cache population entirely while
-# any thread holds the context open.
-#
-# The flag is deliberately process-wide rather than thread-local: the
-# ensemble's ``member_outputs`` fans member forwards out across worker
-# threads, and those workers must inherit the caller's inference state. The trade-off
-# (a concurrent *training* step in another thread would also skip caches)
-# does not arise in this codebase — training and serving never share a
-# process window — and is documented in DESIGN.md.
+# size of the input. ``inference_mode()`` is a per-thread flag — layers
+# consult :func:`is_inference` and skip cache population while the
+# calling thread holds the context open. A training step on another
+# thread keeps its caches.
 
-_inference_lock = threading.Lock()
-_inference_depth = 0
+
+class _InferenceState(threading.local):
+    depth = 0
+
+
+_inference = _InferenceState()
 
 
 def is_inference() -> bool:
-    """True while at least one :func:`inference_mode` context is open."""
-    return _inference_depth > 0
+    """True while this thread holds at least one :func:`inference_mode`."""
+    return _inference.depth > 0
 
 
 @contextmanager
 def inference_mode():
-    """Disable backward caches for every layer forward run inside.
+    """Disable backward caches for every layer forward this thread runs
+    inside.
 
     Re-entrant: nesting increments a depth counter, so helper APIs can
     wrap themselves defensively without fighting an outer context. Under
@@ -61,14 +60,11 @@ def inference_mode():
     "backward called before forward" error, exactly as if no forward had
     happened.
     """
-    global _inference_depth
-    with _inference_lock:
-        _inference_depth += 1
+    _inference.depth += 1
     try:
         yield
     finally:
-        with _inference_lock:
-            _inference_depth -= 1
+        _inference.depth -= 1
 
 
 class Module:

@@ -6,11 +6,9 @@ repairs. :class:`RequestContext` ties all of that telemetry back to the
 click that caused it — every span, event, and warning emitted inside an
 ``obs.request(...)`` scope is stamped with the scope's ``request_id``.
 
-The context rides on :mod:`contextvars`, so it follows ``await``-style
-and thread-dispatched execution as long as the dispatcher copies the
-caller's context (``contextvars.copy_context()``) — which the fast-path
-worker fan-out in :meth:`repro.models.ResNetEnsemble.member_outputs`
-does.
+The context rides on :mod:`contextvars`, so each HTTP handler thread
+sees only its own request. Every span of a CamAL sweep opens on the
+thread that asked for it, so it is stamped with that thread's request.
 
 Semantics:
 

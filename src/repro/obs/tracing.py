@@ -16,20 +16,20 @@ codebase is dominated by array allocations (numpy routes its buffers
 through the tracemalloc domain).
 
 Spans additionally carry correlation identity: a process-unique
-``span_id``, the ``parent_id`` of the enclosing span (tracked through a
-:mod:`contextvars` variable so it survives ``copy_context()`` dispatch
-into worker threads), the ``request_id`` of the active
-``obs.request(...)`` scope, the emitting thread id, and a
-``perf_counter`` start timestamp — everything the Chrome-trace exporter
+``span_id``, the ``parent_id`` of the enclosing span on this thread's
+stack (``None`` for a root — a span opened on a fresh thread is a root
+there), the ``request_id`` of the active ``obs.request(...)`` scope,
+the emitting thread id, and a ``perf_counter`` start timestamp —
+everything the Chrome-trace exporter
 (:func:`repro.obs.export.to_chrome_trace`) needs to lay spans out on
 per-thread tracks.
 
 Wiring: a root span opened inside an ``obs.request(...)`` scope is
-appended to that request's ``RequestContext.roots`` (worker threads
-reach the same object through ``copy_context()``); the flight recorder
-judges those trees when the request ends. A caller that wants whole
-trees — ``devicescope profile``, ``devicescope obs --trace-out``, a
-test — collects them with ``with obs.tracer.capture() as captured:``.
+appended to that request's ``RequestContext.roots``; the flight
+recorder judges those trees when the request ends. A caller that wants
+whole trees — ``devicescope profile``, ``devicescope obs --trace-out``,
+a test — collects them with ``with obs.tracer.capture() as captured:``,
+which sees the roots of every thread (each HTTP handler's included).
 
 When observability is disabled (:mod:`repro.obs.config`), ``span()``
 returns a shared no-op context manager: one flag check, no allocation,
@@ -38,7 +38,6 @@ so instrumented code pays nothing.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import threading
 import time
@@ -52,14 +51,6 @@ __all__ = ["Span", "Capture", "Tracer", "NOOP_SPAN"]
 
 #: Process-unique span id allocation (atomic under the GIL).
 _SPAN_IDS = itertools.count(1)
-
-#: Id of the innermost open span in the *current context* — unlike the
-#: tracer's thread-local stack this propagates through
-#: ``contextvars.copy_context()``, so spans opened on worker threads
-#: know their logical parent even though they are physical roots there.
-_ACTIVE_SPAN_ID: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "repro_obs_active_span", default=None
-)
 
 
 class Span:
@@ -173,26 +164,25 @@ NOOP_SPAN = _NoopSpan()
 class _SpanContext:
     """Context manager that opens/closes one real span."""
 
-    __slots__ = ("_tracer", "_span", "_token", "_request")
+    __slots__ = ("_tracer", "_span", "_request")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
         self._tracer = tracer
         self._span = Span(name, attrs)
-        self._token = None
         self._request = None
 
     def __enter__(self) -> Span:
         span = self._span
         span.span_id = next(_SPAN_IDS)
         span.tid = threading.get_ident()
-        span.parent_id = _ACTIVE_SPAN_ID.get()
+        stack = self._tracer._stack()
+        span.parent_id = stack[-1].span_id if stack else None
         request = context.current_request()
         if request is not None:
             self._request = request
             span.request_id = request.request_id
             span.trace_id = request.trace_id or None
-        self._token = _ACTIVE_SPAN_ID.set(span.span_id)
-        self._tracer._stack().append(span)
+        stack.append(span)
         if tracemalloc.is_tracing():
             span._mem0 = tracemalloc.get_traced_memory()[0]
         span._t0 = time.perf_counter()
@@ -206,9 +196,6 @@ class _SpanContext:
             span.alloc_bytes = tracemalloc.get_traced_memory()[0] - span._mem0
         if exc_type is not None:
             span.error = f"{exc_type.__name__}: {exc}"
-        if self._token is not None:
-            _ACTIVE_SPAN_ID.reset(self._token)
-            self._token = None
         self._tracer._close(span, self._request)
         return False
 
@@ -240,8 +227,8 @@ class Capture:
 
     def request_spans(self, request_id: str) -> list[Span]:
         """All spans stamped with ``request_id`` — the request's tree,
-        flattened (worker-thread spans included; reassemble parent/child
-        structure through ``span_id``/``parent_id``)."""
+        flattened (reassemble parent/child structure through
+        ``span_id``/``parent_id``)."""
         return [
             span
             for span in self.all_spans()

@@ -354,8 +354,7 @@ class DeviceScopeServer(ThreadingHTTPServer):
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
         self.server_close()
-        # Handlers are drained; release engine resources (the member
-        # fan-out pools) behind them.
+        # Handlers are drained; release the service's resources.
         self.service.close()
 
     @contextlib.contextmanager
@@ -374,7 +373,6 @@ def build_server(
     appliances: tuple[str, ...] = ("kettle",),
     profile: str = "ukdale",
     seed: int = 0,
-    workers: int | None = None,
     bank: ModelBank | None = None,
     service: DeviceScopeService | None = None,
     slo_objective_ms: float | None = None,
@@ -408,10 +406,7 @@ def build_server(
             batch_kwargs["batch_max"] = batch_max
         service = DeviceScopeService(
             bank=bank
-            or ModelBank(
-                appliances=appliances, profile=profile, seed=seed,
-                workers=workers,
-            ),
+            or ModelBank(appliances=appliances, profile=profile, seed=seed),
             registry=registry,
             **batch_kwargs,
         )

@@ -88,8 +88,9 @@ class ModelBank:
 
     Models are read-only at serve time, so tenants share one instance
     per appliance; the per-model lock serializes ensemble sweeps (the
-    from-scratch numpy modules are not reentrant across threads — the
-    ROADMAP's batched backbone removes this serialization later).
+    from-scratch numpy modules are not reentrant across threads), and
+    the :class:`~repro.serve.batching.MicroBatcher` stacks concurrent
+    windows into one sweep under it.
     Tenant isolation lives in the *caches*: cache keys include the model
     fingerprint, and each tenant keys into its own cache.
 
@@ -106,7 +107,6 @@ class ModelBank:
         seed: int = 0,
         kernel_sizes: tuple[int, ...] = (5, 9),
         n_filters: tuple[int, int, int] = (4, 8, 8),
-        workers: int | None = None,
         models: dict[str, CamAL] | None = None,
     ):
         self.appliances = tuple(appliances)
@@ -119,7 +119,6 @@ class ModelBank:
         self._profile = profile
         self._kernel_sizes = tuple(kernel_sizes)
         self._n_filters = tuple(n_filters)
-        self._workers = workers
         self._lock = threading.Lock()
         self._models: dict[str, CamAL] = dict(models or {})
         self._model_locks: dict[str, threading.Lock] = {
@@ -161,9 +160,7 @@ class ModelBank:
                     seed=self._seed,
                 )
                 ensemble.eval()
-                model = CamAL(
-                    ensemble, self._default_scaler(), workers=self._workers
-                )
+                model = CamAL(ensemble, self._default_scaler())
                 self._models[appliance] = model
                 self._model_locks[appliance] = threading.Lock()
             return model, self._model_locks[appliance]
@@ -176,13 +173,6 @@ class ModelBank:
             "loaded": loaded,
             "catalogue": sorted(APPLIANCE_NAMES),
         }
-
-    def close(self) -> None:
-        """Release model resources (each ensemble's member-fanout pool)."""
-        with self._lock:
-            models = list(self._models.values())
-        for model in models:
-            model.ensemble.close()
 
 
 class DeviceScopeService:
@@ -220,7 +210,6 @@ class DeviceScopeService:
 
     def close(self) -> None:
         """Release held resources; the server calls this on shutdown."""
-        self.bank.close()
         self.registry.close()
 
     # -- the request wrapper ----------------------------------------------

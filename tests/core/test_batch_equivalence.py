@@ -36,10 +36,10 @@ from repro.models import ResNetEnsemble
 from tests.reference import reference_localize_watts
 
 
-def make_camal(**kwargs) -> CamAL:
+def make_camal() -> CamAL:
     ens = ResNetEnsemble((3, 5), n_filters=(2, 4, 4), seed=0)
     ens.eval()
-    return CamAL(ens, Standardizer(mean=300.0, std=400.0), **kwargs)
+    return CamAL(ens, Standardizer(mean=300.0, std=400.0))
 
 
 @pytest.fixture(scope="module")
@@ -133,14 +133,6 @@ def test_chunked_path_is_identical_to_unchunked(monkeypatch):
     chunked = make_camal().localize_watts(watts)
     for row in range(7):
         assert_rows_identical(chunked, whole.row(row), row)
-
-
-def test_worker_fanout_is_identical_to_sequential():
-    watts = windows(4, 80, seed=13)
-    seq = make_camal(workers=None).localize_watts(watts)
-    par = make_camal(workers=2).localize_watts(watts)
-    for row in range(4):
-        assert_rows_identical(par, seq.row(row), row)
 
 
 def test_legacy_path_rows_are_batch_invariant():

@@ -4,8 +4,7 @@
 CAMs from one backbone pass per member under ``inference_mode``; it must
 be **bit-identical** to the plain reference in ``tests/reference.py``
 (one backbone pass per consumer, the paper read literally) — same numpy
-expressions, same reduction order. Chunked execution and worker fan-out
-are no exception: both stay bitwise.
+expressions, same reduction order. Chunked detection is no exception.
 """
 
 import numpy as np
@@ -21,11 +20,11 @@ from repro.nn.module import Module
 from tests.reference import reference_localize
 
 
-def make_model(kernel_sizes=(3, 5), seed=0, config=None, workers=None):
+def make_model(kernel_sizes=(3, 5), seed=0, config=None):
     """A CamAL over an untrained, eval'd ensemble."""
     ens = ResNetEnsemble(kernel_sizes, n_filters=(4, 8, 8), seed=seed)
     ens.eval()
-    return CamAL(ens, Standardizer(), config, workers=workers)
+    return CamAL(ens, Standardizer(), config)
 
 
 def windows(n, t, seed=0):
@@ -65,7 +64,6 @@ def test_localize_bit_identical_with_postprocessing():
 @given(
     kernel_sizes=st.sampled_from([(5,), (3, 5, 7, 9)]),
     length=st.integers(8, 40).map(lambda n: 2 * n + 1),
-    workers=st.sampled_from([None, 2]),
     cam_floor=st.sampled_from([0.0, 0.25, 0.5]),
     smooth_window=st.integers(0, 5),
     min_on_duration=st.integers(0, 4),
@@ -73,7 +71,7 @@ def test_localize_bit_identical_with_postprocessing():
 )
 @settings(max_examples=12, deadline=None)
 def test_localize_matches_reference_property(
-    kernel_sizes, length, workers, cam_floor, smooth_window,
+    kernel_sizes, length, cam_floor, smooth_window,
     min_on_duration, seed,
 ):
     config = CamALConfig(
@@ -81,14 +79,9 @@ def test_localize_matches_reference_property(
         smooth_window=smooth_window,
         min_on_duration=min_on_duration,
     )
-    model = make_model(kernel_sizes, seed=seed, config=config, workers=workers)
+    model = make_model(kernel_sizes, seed=seed, config=config)
     x = windows(3, length, seed=seed)
-    try:
-        assert_results_identical(
-            model.localize(x), reference_localize(model, x)
-        )
-    finally:
-        model.ensemble.close()
+    assert_results_identical(model.localize(x), reference_localize(model, x))
 
 
 def test_detect_bit_identical():
@@ -105,26 +98,6 @@ def test_predict_status_bit_identical():
     np.testing.assert_array_equal(
         model.predict_status(x), reference_localize(model, x).status
     )
-
-
-def test_member_outputs_workers_bit_identical():
-    """Thread fan-out must not change results or their member order."""
-    ens = ResNetEnsemble((3, 5, 7), n_filters=(4, 8, 8), seed=2)
-    ens.eval()
-    x = windows(3, 31, seed=7)
-    sequential = ens.member_outputs(x)
-    threaded = ens.member_outputs(x, workers=3)
-    assert len(threaded) == len(sequential) == 3
-    for (f_seq, l_seq), (f_thr, l_thr) in zip(sequential, threaded):
-        np.testing.assert_array_equal(f_thr, f_seq)
-        np.testing.assert_array_equal(l_thr, l_seq)
-
-
-def test_localize_with_workers_matches_legacy():
-    """Worker fan-out against the reference (the former legacy path)."""
-    model = make_model(kernel_sizes=(3, 5, 7), workers=2)
-    x = windows(4, 45, seed=8)
-    assert_results_identical(model.localize(x), reference_localize(model, x))
 
 
 def test_chunked_localize_allclose(monkeypatch):
@@ -173,28 +146,6 @@ def test_localize_leaves_no_layer_caches():
         if getattr(child, attr, None) is not None
     ]
     assert leftovers == []
-
-
-def test_calibrate_preserves_workers():
-    model = make_model(workers=2)
-    # calibrate() needs labelled windows; fabricate a minimal WindowSet.
-    from repro.datasets import WindowSet
-
-    rng = np.random.default_rng(14)
-    x_watts = rng.normal(100.0, 10.0, size=(10, 32))
-    scaler = Standardizer.fit(x_watts)
-    ws = WindowSet(
-        x=scaler.transform(x_watts)[:, None, :],
-        x_watts=x_watts,
-        y_weak=(rng.random(10) > 0.5).astype(float),
-        y_strong=np.zeros((10, 32)),
-        house_ids=["h"] * 10,
-        starts=np.zeros(10, dtype=np.int64),
-        appliance="kettle",
-        scaler=scaler,
-    )
-    calibrated = model.calibrate(ws)
-    assert calibrated.workers == 2
 
 
 def test_fingerprint_tracks_model_identity_and_config():

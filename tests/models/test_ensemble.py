@@ -115,72 +115,3 @@ def test_members_have_distinct_initializations():
     w1 = ens.members[1].fc.weight.data
     assert not np.allclose(w0, w1)
 
-
-# -- persistent member-fanout pool ---------------------------------------
-
-
-def test_executor_is_reused_across_calls():
-    ens = small_ensemble()
-    ens.eval()
-    x = np.zeros((2, 1, 32))
-    ens.member_outputs(x, workers=2)
-    first = ens._pool
-    assert first is not None and ens._pool_workers == 2
-    ens.member_outputs(x, workers=2)
-    assert ens._pool is first  # no churn: one pool serves every sweep
-
-
-def test_executor_grows_but_never_shrinks():
-    ens = small_ensemble((3, 5, 7))
-    ens.eval()
-    x = np.zeros((1, 1, 32))
-    ens.member_outputs(x, workers=2)
-    small = ens._pool
-    ens.member_outputs(x, workers=3)
-    grown = ens._pool
-    assert grown is not small and ens._pool_workers == 3
-    ens.member_outputs(x, workers=2)  # narrower request reuses the wide pool
-    assert ens._pool is grown
-
-
-def test_parallel_matches_sequential_bitwise():
-    ens = small_ensemble()
-    ens.eval()
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 1, 48))
-    seq = ens.member_outputs(x, workers=None)
-    par = ens.member_outputs(x, workers=2)
-    assert len(seq) == len(par)
-    for (f_seq, l_seq), (f_par, l_par) in zip(seq, par):
-        np.testing.assert_array_equal(f_seq, f_par)
-        np.testing.assert_array_equal(l_seq, l_par)
-
-
-def test_close_releases_pool_and_allows_reuse():
-    ens = small_ensemble()
-    ens.eval()
-    x = np.zeros((1, 1, 32))
-    ens.member_outputs(x, workers=2)
-    assert ens._pool is not None
-    ens.close()
-    assert ens._pool is None and ens._pool_workers == 0
-    ens.close()  # idempotent
-    # The ensemble stays usable: the next fan-out builds a fresh pool.
-    ens.member_outputs(x, workers=2)
-    assert ens._pool is not None
-    ens.close()
-
-
-def test_select_best_pruned_ensemble_has_own_pool_state():
-    ens = small_ensemble((3, 5, 7), seed=6)
-    ens.eval()
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(20, 1, 32))
-    y = rng.integers(0, 2, size=20).astype(float)
-    ens.member_outputs(x, workers=2)
-    pruned = ens.select_best(x, y, top_n=2)
-    assert pruned._pool is None  # never shares the parent's executor
-    pruned.member_outputs(x, workers=2)
-    assert pruned._pool is not ens._pool
-    ens.close()
-    pruned.close()

@@ -10,6 +10,8 @@ The fast path's memory contract has two halves:
   never pin input-sized intermediates across steps.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,35 @@ def test_training_step_unaffected_by_prior_inference_pass():
     model.backward(loss_fn.backward())
     grads = [p.grad for p in model.parameters() if p.requires_grad]
     assert all(np.isfinite(g).all() for g in grads)
+
+
+def test_inference_mode_is_per_thread():
+    """A thread holding inference_mode leaves another thread's training
+    forward and backward untouched."""
+    rng = np.random.default_rng(10)
+    model = ResNetTSC(kernel_size=3, n_filters=(2, 3, 3), rng=rng)
+    loss_fn = nn.CrossEntropyLoss()
+    x = rng.normal(size=(2, 1, 12))
+    y = np.array([0, 1])
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with inference_mode():
+            entered.set()
+            release.wait(timeout=30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(timeout=30)
+        assert not is_inference()
+        logits = model(x)
+        assert cached_intermediates(model)
+        loss_fn(logits, y)
+        model.zero_grad()
+        model.backward(loss_fn.backward())
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    grads = [p.grad for p in model.parameters() if p.requires_grad]
+    assert grads and all(np.isfinite(g).all() for g in grads)

@@ -1,4 +1,6 @@
-"""Request scopes: stamping, reuse, worker propagation, dedup, reset."""
+"""Request scopes: stamping, reuse, per-thread attribution, dedup, reset."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -7,16 +9,14 @@ from repro import obs
 from repro.obs.context import NOOP_REQUEST
 
 
-def _tiny_camal(workers=None):
+def _tiny_camal():
     from repro.core import CamAL
     from repro.datasets import Standardizer
     from repro.models import ResNetEnsemble
 
     ensemble = ResNetEnsemble((5, 9), n_filters=(4, 8, 8), seed=0)
     ensemble.eval()
-    return CamAL(
-        ensemble, Standardizer(mean=300.0, std=400.0), workers=workers
-    )
+    return CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
 
 
 def test_disabled_request_is_shared_noop():
@@ -115,23 +115,36 @@ def test_span_parent_child_ids_form_a_tree():
 
 
 def test_worker_thread_spans_carry_the_request_id():
-    """Acceptance: CamAL(workers=2) under obs.request —
-    every span (worker-thread member forwards included) is stamped."""
+    """Acceptance: a sweep under obs.request on a worker thread (as an
+    HTTP handler runs one) — every span, member forwards included, is
+    stamped with that thread's request and recorded on that thread."""
     obs.enable()
-    model = _tiny_camal(workers=2)
+    model = _tiny_camal()
     watts = np.random.default_rng(0).uniform(0, 3000, (2, 96))
-    with obs.tracer.capture() as captured, obs.request(kind="view") as req:
-        model.localize_watts(watts)
+    request_ids = []
+
+    def handle():
+        with obs.request(kind="view") as req:
+            request_ids.append(req.request_id)
+            model.localize_watts(watts)
+
+    with obs.tracer.capture() as captured:
+        worker = threading.Thread(target=handle)
+        worker.start()
+        worker.join()
+    [request_id] = request_ids
     spans = captured.all_spans()
     assert len(spans) >= 8  # all six stages + members, at minimum
-    assert all(s.request_id == req.request_id for s in spans)
+    assert all(s.request_id == request_id for s in spans)
+    assert {s.tid for s in spans} == {worker.ident}
     members = [s for s in spans if s.name == "ensemble.member_forward"]
     assert len(members) == 2
-    # Cross-thread parent linkage: member spans point at the dispatching
-    # ensemble_forward span even though they are roots on their thread.
+    # Parent linkage: member spans are children of the ensemble_forward
+    # span that ran them.
     forward = captured.find("camal.ensemble_forward")
     assert {m.parent_id for m in members} == {forward.span_id}
-    assert captured.request_spans(req.request_id) == spans
+    assert forward.children == members
+    assert captured.request_spans(request_id) == spans
 
 
 def test_playground_view_telemetry_is_fully_attributed():
@@ -141,7 +154,7 @@ def test_playground_view_telemetry_is_fully_attributed():
     from repro.datasets import build_dataset
 
     dataset = build_dataset("ukdale", seed=0, n_houses=2, days_per_house=(2, 3))
-    playground = Playground(dataset, {"kettle": _tiny_camal(workers=2)})
+    playground = Playground(dataset, {"kettle": _tiny_camal()})
     playground.state.selected_appliances = ["kettle"]
     playground.select_window("6h")
     obs.enable()

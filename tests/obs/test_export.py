@@ -288,7 +288,7 @@ def test_camal_stage_spans_each_produce_a_trace_event():
 
     ensemble = ResNetEnsemble((5, 9), n_filters=(4, 8, 8), seed=0)
     ensemble.eval()
-    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0), workers=2)
+    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
     obs.enable()
     with obs.tracer.capture() as captured, obs.request(kind="view") as req:
         model.localize_watts(
@@ -313,16 +313,14 @@ def test_camal_stage_spans_each_produce_a_trace_event():
         assert isinstance(event["tid"], int)
         assert event["ts"] >= 0.0 and event["dur"] >= 0.0
         assert event["args"]["request_id"] == req.request_id
-    # Worker-thread member spans land on their own named tracks.
+    # The sweep runs on the calling thread: one named track, and the
+    # member spans share it with the ensemble_forward span that ran them.
     meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-    track_names = {e["args"]["name"] for e in meta}
-    # At least the dispatching thread plus one worker track (both member
-    # tasks may land on the same pool thread).
-    assert "main" in track_names and len(meta) >= 2
+    assert [e["args"]["name"] for e in meta] == ["main"]
     members = [e for e in events if e["name"] == "ensemble.member_forward"]
-    assert {e["tid"] for e in members} & {
-        e["tid"] for e in meta if e["args"]["name"] != "main"
-    }
+    forward = [e for e in events if e["name"] == "camal.ensemble_forward"]
+    assert len(members) == 2
+    assert {e["tid"] for e in members} == {e["tid"] for e in forward}
     json.dumps(trace)  # serializable as-is
 
 

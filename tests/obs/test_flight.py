@@ -197,8 +197,8 @@ def test_obs_reset_tears_down_the_flight_ring():
 
 
 def test_kept_entry_stores_each_request_tree_once():
-    """The entry's spans are the request's own root spans — worker-thread
-    member forwards included — serialized once."""
+    """The entry's spans are the request's own root spans — member
+    forwards nested inside them — serialized once."""
     from repro.core import CamAL
     from repro.datasets import Standardizer
     from repro.models import ResNetEnsemble
@@ -206,7 +206,7 @@ def test_kept_entry_stores_each_request_tree_once():
     obs.enable()
     ensemble = ResNetEnsemble((5, 9), n_filters=(4, 8, 8), seed=0)
     ensemble.eval()
-    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0), workers=2)
+    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
     watts = np.random.default_rng(0).uniform(0, 3000, (2, 96))
     with obs.tracer.capture() as captured, obs.request(kind="serve") as req:
         req.set_outcome("degraded")  # always kept
@@ -215,6 +215,6 @@ def test_kept_entry_stores_each_request_tree_once():
     (entry,) = obs.flight_recorder.entries()
     roots = [r for r in captured.roots() if r.request_id == rid]
     assert entry["spans"] == [r.to_dict() for r in roots]
-    names = {r.name for r in roots}
-    assert "ensemble.member_forward" in names  # worker-thread roots
-    assert len({r.tid for r in roots}) > 1
+    assert [r.name for r in roots] == ["camal.localize"]
+    names = [s.name for s in roots[0].walk()]
+    assert names.count("ensemble.member_forward") == 2  # each member once

@@ -125,7 +125,7 @@ def test_request_generates_trace_identity_when_absent():
     assert captured.find("work").trace_id == req.trace_id
 
 
-def test_worker_fanout_spans_carry_the_trace_id():
+def test_member_forward_spans_carry_the_trace_id():
     import numpy as np
 
     from repro.core import CamAL
@@ -134,9 +134,7 @@ def test_worker_fanout_spans_carry_the_trace_id():
 
     ensemble = ResNetEnsemble((5, 9), n_filters=(4, 8, 8), seed=0)
     ensemble.eval()
-    model = CamAL(
-        ensemble, Standardizer(mean=300.0, std=400.0), workers=2
-    )
+    model = CamAL(ensemble, Standardizer(mean=300.0, std=400.0))
     watts = np.random.default_rng(0).uniform(0, 3000, size=(1, 512))
     obs.enable()
     with obs.tracer.capture() as captured:
@@ -150,6 +148,6 @@ def test_worker_fanout_spans_carry_the_trace_id():
     spans = [s for root in captured.roots() for s in walk(root)]
     assert spans, "no spans captured"
     members = [s for s in spans if s.name == "ensemble.member_forward"]
-    assert members, "worker fan-out spans missing"
+    assert members, "member forward spans missing"
     assert all(m.trace_id == TRACE for m in members)
     assert all(r.trace_id == TRACE for r in captured.roots())

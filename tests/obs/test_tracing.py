@@ -154,3 +154,37 @@ def test_request_roots_match_the_ring_under_thread_contention():
     assert req.roots == [
         r for r in captured.roots() if r.request_id == req.request_id
     ]
+
+
+
+def test_span_on_a_fresh_thread_is_a_root():
+    """A thread's spans nest only on that thread's stack: a span opened
+    on a fresh thread is a root, even while the spawning thread has a
+    span open and even when the thread runs in a copy of its context."""
+    import contextvars
+    import threading
+
+    def work(name):
+        with obs.span(name):
+            pass
+
+    obs.enable()
+    with obs.tracer.capture() as captured:
+        with obs.span("spawner") as spawner:
+            threads = [
+                threading.Thread(target=work, args=("plain",)),
+                threading.Thread(
+                    target=contextvars.copy_context().run,
+                    args=(work, "copied"),
+                ),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    roots = {r.name: r for r in captured.roots()}
+    assert set(roots) == {"spawner", "plain", "copied"}
+    assert spawner.children == []
+    for name in ("plain", "copied"):
+        assert roots[name].parent_id is None
+        assert roots[name].tid != spawner.tid

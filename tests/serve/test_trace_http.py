@@ -3,8 +3,8 @@
 The wire contract: every response — success, client error, 404, shed —
 carries ``X-Request-Id`` and a ``traceparent`` whose trace id is the
 client's (when the client sent a valid one) or freshly minted (when it
-did not), and the request's spans — handler down to the ensemble
-worker fan-out — are stamped with that same trace id.
+did not), and the request's spans — handler down to each ensemble
+member forward — are stamped with that same trace id.
 """
 
 import json

@@ -39,10 +39,10 @@ from repro.stream import LiveStore, SlidingCamAL, receptive_halo
 from tests.reference import reference_localize_watts
 
 
-def make_camal(**kwargs) -> CamAL:
+def make_camal() -> CamAL:
     ens = ResNetEnsemble((3, 5), n_filters=(2, 4, 4), seed=0)
     ens.eval()
-    return CamAL(ens, Standardizer(mean=300.0, std=400.0), **kwargs)
+    return CamAL(ens, Standardizer(mean=300.0, std=400.0))
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +153,11 @@ def test_sliding_over_eviction_stays_identical(camal):
         assert_identical(loc.result, camal.localize_watts(watts[None]))
 
 
-def test_matches_worker_fanout_and_legacy_pipeline():
+def test_matches_sequential_and_legacy_pipeline():
     """The cold reference is itself path-invariant (the batch harness),
     so the stream result must equal *every* cold path: the sequential
-    sweep, worker fan-out, and the plain reference (one backbone pass
-    per consumer, the former legacy pipeline)."""
-    fanout = make_camal(workers=2)
+    sweep and the plain reference (one backbone pass per consumer, the
+    former legacy pipeline)."""
     model = make_camal()
     window = 96
     chunks = [9, 30, 33, 14]
@@ -173,7 +172,7 @@ def test_matches_worker_fanout_and_legacy_pipeline():
         pos += chunk
         loc = live.localize()
         watts = store.read(loc.start, loc.end - loc.start)[None]
-        assert_identical(loc.result, fanout.localize_watts(watts))
+        assert_identical(loc.result, model.localize_watts(watts))
         assert_identical(loc.result, reference_localize_watts(model, watts))
 
 
